@@ -12,10 +12,8 @@ re-simulated worlds into the snapshot (``DeltaCascadeEngine.splice_base``)
 instead of re-running the instrumented O(num_samples) pass at the next greedy
 step, and since PR 5 accepted *pivots* (seed adds) are spliced the same way
 (``DeltaCascadeEngine.splice_base_new_seed``), so a full run pays exactly
-**one** instrumented pass — the initial snapshot.  This benchmark runs the
-historical behaviours too (all splices disabled = PR 3; coupon splice only =
-PR 4) and records the eliminated snapshot passes, the coupon-splice speedup
-and the seed-splice speedup separately.
+**one** instrumented pass — the initial snapshot, asserted here together
+with the per-accept splice counts.
 
 The benchmark also runs the full three-phase ``S3CA.solve()`` per size and
 records the per-phase wall-clock split (ID / GPI / SCM) plus the end-to-end
@@ -26,8 +24,8 @@ to drive a realistic number of greedy iterations.  All paths must select the
 **bit-identical** deployment (asserted here); the headline number is the
 wall-clock speedup of ``InvestmentDeployment.run()``.
 
-The era comparison runs with ``use_kernel=False``: the PR 6 native cascade
-kernel accelerates the eager baseline and the incremental path alike, so
+The eager-vs-incremental comparison runs with ``use_kernel=False``: the native
+cascade kernel accelerates the eager baseline and the incremental path alike, so
 measuring the algorithmic ratio on the interpreted loop keeps the numbers
 comparable across the trajectory.  ``bench_kernel.py`` measures the kernel
 dispatch itself.  The full three-phase solve leg below keeps the default
@@ -85,14 +83,8 @@ PIVOT_LIMIT = 150
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_greedy.json"
 
 
-def _run_id_phase(scenario, incremental: bool, splice: str = "full"):
-    """Run the ID phase; ``splice`` selects the snapshot-advance era.
-
-    ``"none"`` disables every splice (PR 3: each accept re-snapshots),
-    ``"coupon"`` keeps only the coupon splice (PR 4: pivot accepts still
-    re-snapshot), ``"full"`` is the current behaviour (seed accepts splice
-    too — exactly one instrumented pass per run).
-    """
+def _run_id_phase(scenario, incremental: bool):
+    """Run the ID phase, eager or incremental, and time it."""
     # Pinned to the interpreted cascade loop: this benchmark isolates the
     # *algorithmic* win (delta evaluation + CELF laziness + splicing) from
     # the native-kernel dispatch, which accelerates the eager baseline and
@@ -112,10 +104,6 @@ def _run_id_phase(scenario, incremental: bool, splice: str = "full"):
         max_pivot_candidates=PIVOT_LIMIT,
         incremental=incremental,
     )
-    if incremental and splice == "none":
-        phase.marginal.advance_base = lambda evaluation: None
-    if incremental and splice in ("none", "coupon"):
-        phase.marginal.advance_base_seed = lambda resulting, node: None
     with Timer() as timer:
         result = phase.run()
     return (
@@ -128,7 +116,7 @@ def _run_id_phase(scenario, incremental: bool, splice: str = "full"):
 
 
 def _seed_accepts(result):
-    """Pivot accepts after the first seed (each forces a fresh snapshot)."""
+    """Pivot accepts after the first seed (each spliced, not re-snapshotted)."""
     return sum(
         1
         for before, after in zip(result.snapshots, result.snapshots[1:])
@@ -175,23 +163,16 @@ def test_greedy_incremental_speedup(report):
         eager_result, eager_seconds, _, _, _ = _run_id_phase(
             scenario, incremental=False
         )
-        pre_result, pre_seconds, pre_passes, _, _ = _run_id_phase(
-            scenario, incremental=True, splice="none"
-        )
-        coupon_result, coupon_seconds, coupon_passes, _, _ = _run_id_phase(
-            scenario, incremental=True, splice="coupon"
-        )
         lazy_result, lazy_seconds, lazy_passes, lazy_splices, lazy_seed_splices = (
             _run_id_phase(scenario, incremental=True)
         )
 
-        # The whole point: the fast paths return the *same* deployment.
-        for other in (pre_result, coupon_result, lazy_result):
-            assert eager_result.deployment.seeds == other.deployment.seeds
-            assert (
-                eager_result.deployment.allocation == other.deployment.allocation
-            )
-            assert eager_result.iterations == other.iterations
+        # The whole point: the fast path returns the *same* deployment.
+        assert eager_result.deployment.seeds == lazy_result.deployment.seeds
+        assert (
+            eager_result.deployment.allocation == lazy_result.deployment.allocation
+        )
+        assert eager_result.iterations == lazy_result.iterations
 
         # The splices eliminated every per-accept re-snapshot pass: each
         # accepted coupon and each accepted pivot was grafted, leaving
@@ -201,9 +182,6 @@ def test_greedy_incremental_speedup(report):
         assert lazy_splices == coupon_accepts
         assert lazy_seed_splices == seed_accepts
         assert lazy_passes == 1
-        # PR 4 behaviour: every pivot accept still paid a fresh pass.
-        assert coupon_passes == 1 + seed_accepts
-        assert pre_passes >= coupon_passes >= lazy_passes
 
         speedup = eager_seconds / lazy_seconds
         total_eager += eager_seconds
@@ -216,12 +194,6 @@ def test_greedy_incremental_speedup(report):
             "eager_seconds": round(eager_seconds, 4),
             "incremental_seconds": round(lazy_seconds, 4),
             "speedup": round(speedup, 2),
-            "presplice_seconds": round(pre_seconds, 4),
-            "splice_speedup": round(pre_seconds / lazy_seconds, 2),
-            "couponsplice_seconds": round(coupon_seconds, 4),
-            "seed_splice_speedup": round(coupon_seconds / lazy_seconds, 2),
-            "snapshot_passes_presplice": pre_passes,
-            "snapshot_passes_couponsplice": coupon_passes,
             "snapshot_passes_spliced": lazy_passes,
             "spliced_advances": lazy_splices,
             "spliced_seed_advances": lazy_seed_splices,

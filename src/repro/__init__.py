@@ -24,7 +24,7 @@ from repro.core.maneuver import SCManeuver
 from repro.core.s3ca import S3CA, S3CAResult
 from repro.diffusion.engine import CompiledCascadeEngine
 from repro.diffusion.exact import ExactEstimator
-from repro.diffusion.factory import ESTIMATOR_METHODS, make_estimator
+from repro.diffusion.factory import ESTIMATOR_METHODS, EstimatorSpec, make_estimator
 from repro.diffusion.monte_carlo import BenefitEstimator, MonteCarloEstimator
 from repro.diffusion.sc_cascade import CascadeResult, simulate_sc_cascade
 from repro.economics.budget import Budget
@@ -50,6 +50,7 @@ __all__ = [
     "S3CA",
     "S3CAResult",
     "ESTIMATOR_METHODS",
+    "EstimatorSpec",
     "make_estimator",
     "CompiledCascadeEngine",
     "CompiledGraph",

@@ -22,7 +22,13 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro.core.s3ca import S3CA
-from repro.diffusion.factory import DEFAULT_ESTIMATOR_METHOD, ESTIMATOR_METHODS
+from repro.diffusion.factory import (
+    DEFAULT_ESTIMATOR_METHOD,
+    ESTIMATOR_METHODS,
+    EstimatorSpec,
+    make_estimator,
+)
+from repro.diffusion.tiered import DEFAULT_TIER_EPSILON, DEFAULT_TIER_TOP_K
 from repro.exceptions import ReproError
 from repro.experiments.case_study import AIRBNB, BOOKING, case_study_series, run_case_study
 from repro.experiments.config import AlgorithmSpec, ExperimentConfig
@@ -96,13 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "are bit-identical for every worker count; default: serial)",
         )
         sub.add_argument(
-            "--pipeline-depth", type=_positive_int, default=None,
-            help="in-flight bound of the batched evaluation scheduler: how "
-                 "many submitted evaluations a batch keeps pending before "
-                 "draining the oldest (results are bit-identical for any "
-                 "value; default: max(2, 2*workers))",
-        )
-        sub.add_argument(
             "--no-kernel", action="store_true",
             help="force the interpreted cascade loop instead of the native "
                  "compiled kernel (numba or C backend); results are "
@@ -118,24 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
                  "memory whenever --workers evaluates out-of-process)",
         )
         sub.add_argument(
-            "--tier-epsilon", type=float, default=None,
+            "--tier-epsilon", type=float, default=DEFAULT_TIER_EPSILON,
             help="two-tier screening band (--estimator tiered): evaluation "
                  "batches are scored with the RR sketch and only slots within "
                  "this relative band below the k-th best score are "
                  "MC-confirmed (0 = top-k ties only, larger = more "
-                 "conservative; default 0.5)",
+                 "conservative; default %(default)s)",
         )
         sub.add_argument(
-            "--tier-topk", type=_positive_int, default=None,
+            "--tier-topk", type=_positive_int, default=DEFAULT_TIER_TOP_K,
             help="minimum number of top-scoring slots per batch the two-tier "
                  "screening always MC-confirms (--estimator tiered; "
-                 "default 48)",
-        )
-        sub.add_argument(
-            "--no-tiering", action="store_true",
-            help="keep the tiered wrapper but dispatch every batch to the MC "
-                 "tier (cross-check mode for --estimator tiered; screening "
-                 "counters still report)",
+                 "default %(default)s)",
         )
 
     def add_graph_source(sub: argparse.ArgumentParser) -> None:
@@ -254,16 +247,16 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         seed=args.seed,
         candidate_limit=args.candidate_limit,
         max_pivot_candidates=args.pivot_limit,
-        estimator_method=getattr(args, "estimator", DEFAULT_ESTIMATOR_METHOD),
-        incremental=not getattr(args, "no_incremental", False),
-        shard_size=getattr(args, "shard_size", None),
-        workers=getattr(args, "workers", None),
-        pipeline_depth=getattr(args, "pipeline_depth", None),
-        use_kernel=False if getattr(args, "no_kernel", False) else None,
-        shared_memory=False if getattr(args, "no_shared_memory", False) else None,
-        tier_epsilon=getattr(args, "tier_epsilon", None),
-        tier_top_k=getattr(args, "tier_topk", None),
-        tiering=not getattr(args, "no_tiering", False),
+        estimator_method=args.estimator,
+        estimator=EstimatorSpec(
+            incremental=not args.no_incremental,
+            shard_size=args.shard_size,
+            workers=args.workers,
+            use_kernel=False if args.no_kernel else None,
+            shared_memory=False if args.no_shared_memory else None,
+            tier_epsilon=args.tier_epsilon,
+            tier_top_k=args.tier_topk,
+        ),
     )
 
 
@@ -293,7 +286,7 @@ def _s3ca_spec(args: argparse.Namespace) -> AlgorithmSpec:
             estimator=estimator,
             candidate_limit=args.candidate_limit,
             max_pivot_candidates=args.pivot_limit,
-            incremental=not getattr(args, "no_incremental", False),
+            incremental=not args.no_incremental,
         ),
     )
 
@@ -311,30 +304,26 @@ def cmd_datasets(args: argparse.Namespace) -> str:
 def cmd_solve(args: argparse.Namespace) -> str:
     config = _config_from_args(args)
     scenario = _scenario_from_args(args, config)
-    algorithm = S3CA(
+    estimator = make_estimator(
         scenario,
-        estimator_method=config.estimator_method,
+        config.estimator_method,
         num_samples=config.num_samples,
         seed=config.seed,
-        candidate_limit=config.candidate_limit,
-        max_pivot_candidates=config.max_pivot_candidates,
-        spend_full_budget=getattr(args, "spend_full_budget", False),
-        incremental=config.incremental,
-        shard_size=config.shard_size,
-        workers=config.workers,
-        pipeline_depth=config.pipeline_depth,
-        use_kernel=config.use_kernel,
-        shared_memory=config.shared_memory,
-        tier_epsilon=config.tier_epsilon,
-        tier_top_k=config.tier_top_k,
-        tiering=config.tiering,
+        spec=config.estimator,
     )
     try:
-        result = algorithm.solve()
+        result = S3CA(
+            scenario,
+            estimator=estimator,
+            candidate_limit=config.candidate_limit,
+            max_pivot_candidates=config.max_pivot_candidates,
+            spend_full_budget=args.spend_full_budget,
+            incremental=config.estimator.incremental,
+        ).solve()
     finally:
         # Release the estimator's worker pool (if --workers started one)
         # before formatting output, not at interpreter exit.
-        close = getattr(algorithm.estimator, "close", None)
+        close = getattr(estimator, "close", None)
         if close is not None:
             close()
     row = {
@@ -406,7 +395,6 @@ def cmd_case_study(args: argparse.Namespace) -> str:
 def cmd_events(args: argparse.Namespace) -> str:
     import json
 
-    from repro.diffusion.factory import make_estimator
     from repro.graph.events import GraphEventBatch
 
     config = _config_from_args(args)
@@ -453,17 +441,16 @@ def cmd_events(args: argparse.Namespace) -> str:
                     payload[key] = coerce(payload[key])
     batch = GraphEventBatch.from_payloads(payloads)
 
+    # The reconcile below advances the delta snapshot, so the estimator
+    # always carries the delta engine; --no-incremental only picks S3CA's
+    # eager greedy loop.
     estimator = make_estimator(
         scenario,
         "mc-compiled",
         num_samples=config.num_samples,
         seed=config.seed,
+        spec=config.estimator,
         incremental=True,
-        shard_size=config.shard_size,
-        workers=config.workers,
-        pipeline_depth=config.pipeline_depth,
-        use_kernel=config.use_kernel,
-        shared_memory=config.shared_memory,
     )
     try:
         algorithm = S3CA(
@@ -471,7 +458,7 @@ def cmd_events(args: argparse.Namespace) -> str:
             estimator=estimator,
             candidate_limit=config.candidate_limit,
             max_pivot_candidates=config.max_pivot_candidates,
-            incremental=config.incremental,
+            incremental=config.estimator.incremental,
         )
         result = algorithm.solve()
         seeds = set(result.seeds)

@@ -44,7 +44,6 @@ class SCAllocation:
 
     def __init__(self, counts: Optional[Mapping[NodeId, int]] = None) -> None:
         self._counts: Dict[NodeId, int] = {}
-        self._version = 0
         if counts:
             for node, value in counts.items():
                 self.set(node, int(value))
@@ -94,11 +93,6 @@ class SCAllocation:
     # mutation
     # ------------------------------------------------------------------
 
-    @property
-    def version(self) -> int:
-        """Monotone mutation counter (every mutation funnels through :meth:`set`)."""
-        return self._version
-
     def set(self, node: NodeId, count: int) -> None:
         """Set the coupon count of ``node`` (removing it if ``count`` is zero)."""
         if count < 0:
@@ -107,7 +101,6 @@ class SCAllocation:
             self._counts.pop(node, None)
         else:
             self._counts[node] = int(count)
-        self._version += 1
 
     def increment(self, node: NodeId, by: int = 1, graph: Optional[SocialGraph] = None) -> None:
         """Add ``by`` coupons to ``node``, optionally capping at its out-degree."""

@@ -13,7 +13,7 @@ phases of S3CA explore candidate investments.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Optional, Set, Tuple
 
 from repro.core.allocation import SCAllocation, expected_sc_cost, node_expected_sc_cost
 from repro.diffusion.estimator import BenefitEstimator
@@ -55,7 +55,6 @@ class Deployment:
         else:
             self.allocation = SCAllocation(allocation or {})
         self._sc_cost_cache = sc_cost_cache if sc_cost_cache is not None else {}
-        self._key_cache: Optional[Tuple[int, Tuple[FrozenSet, Tuple]]] = None
 
     # ------------------------------------------------------------------
     # structure
@@ -79,27 +78,6 @@ class Deployment:
     def is_empty(self) -> bool:
         """True when the deployment selects nothing."""
         return not self.seeds and len(self.allocation) == 0
-
-    def key(self) -> Tuple[FrozenSet, Tuple]:
-        """Hashable identity used for memoisation.
-
-        Memoised on the instance: deployments are effectively immutable once
-        the greedy loops start deriving variants, so the frozenset/sort is
-        paid once per deployment instead of once per cache lookup.  The memo
-        is invalidated when the coupon allocation mutates (every allocation
-        edit funnels through :meth:`SCAllocation.set`); direct mutation of
-        ``self.seeds`` after the first ``key()`` call is not supported.
-        """
-        version = self.allocation.version
-        cached = self._key_cache
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        key = (
-            frozenset(self.seeds),
-            tuple(sorted(self.allocation.items())),
-        )
-        self._key_cache = (version, key)
-        return key
 
     # ------------------------------------------------------------------
     # costs and objective

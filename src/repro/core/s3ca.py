@@ -99,10 +99,14 @@ class S3CA:
     estimator:
         Optional pre-built expected-benefit estimator (sharing one across
         algorithms makes comparisons noise-free); when omitted one is built
-        through :func:`repro.diffusion.factory.make_estimator`.
+        through :func:`repro.diffusion.factory.make_estimator` — which is
+        also where callers choose how it executes
+        (:class:`~repro.diffusion.factory.EstimatorSpec`).
     estimator_method / num_samples / seed:
         Factory method name and parameters of the default estimator (the
         compiled Monte-Carlo backend with ``num_samples`` worlds).
+        Screening counters of a ``"tiered"`` estimator come back in
+        :attr:`S3CAResult.tier_stats`.
     candidate_limit:
         Cap on the number of coupon candidates scored per ID iteration
         (``None`` = all influenced users, the pseudo-code's behaviour).
@@ -132,43 +136,6 @@ class S3CA:
         ``max_pivot_candidates``).  Changes which pivots are considered, so
         off by default.  On a tiered estimator the resident sketch serves as
         the prescreener instead of sampling a second one.
-    tier_epsilon / tier_top_k / tiering:
-        Screening knobs forwarded to the factory when ``estimator_method`` is
-        ``"tiered"`` (ignored otherwise, and when ``estimator`` is supplied):
-        band width and top-k of the sketch screening pass, and the
-        ``tiering=False`` cross-check switch.  Screening counters come back
-        in :attr:`S3CAResult.tier_stats`.
-    shard_size / workers:
-        Forwarded to the default estimator: sharded world sampling (bounded
-        memory) and the multiprocess shard executor.  Both preserve
-        bit-identical benefit estimates, so the selected deployment is the
-        same for every setting — only speed and memory change.  Ignored when
-        a pre-built ``estimator`` is supplied.
-    pool:
-        Optional :class:`~repro.diffusion.parallel.SharedShardPool` the
-        default estimator registers on instead of creating its own — the way
-        an experiment sweep runs many S3CA instances on **one** persistent
-        worker pool.  The pool is never closed by S3CA or its estimator;
-        its owner decides.  Ignored when ``estimator`` is supplied.
-    pipeline_depth:
-        In-flight bound of the default estimator's batched evaluation
-        scheduler (how many submitted evaluations a plan keeps pending
-        before draining the oldest).  ``None`` derives ``max(2, 2 *
-        workers)``.  Bit-identical results for any value; ignored when
-        ``estimator`` is supplied.
-    use_kernel:
-        Native cascade kernel dispatch of the default estimator
-        (:mod:`repro.diffusion.kernels`): ``None`` auto-detects with silent
-        interpreted fallback, ``True`` warns on fallback, ``False`` forces
-        the interpreted oracle.  The selected deployment is bit-identical
-        either way; ignored when ``estimator`` is supplied.
-    shared_memory:
-        Zero-copy shared-memory transport of the default estimator's
-        compiled graph and world blocks (:mod:`repro.utils.shm`): ``None``
-        enables it exactly when worlds execute out-of-process, ``True``
-        forces it (warning + by-value fallback when unavailable), ``False``
-        forces private copies.  The selected deployment is bit-identical for
-        every setting; ignored when ``estimator`` is supplied.
     """
 
     def __init__(
@@ -188,28 +155,11 @@ class S3CA:
         spend_full_budget: bool = False,
         incremental: Optional[bool] = None,
         rr_prescreen: bool = False,
-        shard_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        pool=None,
-        pipeline_depth: Optional[int] = None,
-        use_kernel: Optional[bool] = None,
-        shared_memory: Optional[bool] = None,
-        tier_epsilon: Optional[float] = None,
-        tier_top_k: Optional[int] = None,
-        tiering: bool = True,
     ) -> None:
         self.scenario = scenario
         self.seed = seed
-        tier_kwargs = {}
-        if tier_epsilon is not None:
-            tier_kwargs["tier_epsilon"] = tier_epsilon
-        if tier_top_k is not None:
-            tier_kwargs["tier_top_k"] = tier_top_k
         self.estimator = estimator or make_estimator(
-            scenario, estimator_method, num_samples=num_samples, seed=seed,
-            shard_size=shard_size, workers=workers, pool=pool,
-            pipeline_depth=pipeline_depth, use_kernel=use_kernel,
-            shared_memory=shared_memory, tiering=tiering, **tier_kwargs,
+            scenario, estimator_method, num_samples=num_samples, seed=seed
         )
         if isinstance(self.estimator, RRBenefitEstimator):
             warnings.warn(

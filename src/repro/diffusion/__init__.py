@@ -12,7 +12,8 @@ plain-IC regime (``rr_sets``).
 
 Construct estimators through :func:`make_estimator` (``factory``) rather than
 instantiating classes directly; the factory is the single switch point for
-the ``mc-compiled`` / ``mc`` / ``exact`` / ``rr`` / ``tiered`` methods.  The
+the ``mc-compiled`` / ``mc`` / ``exact`` / ``rr`` / ``tiered`` methods, and
+its :class:`EstimatorSpec` the one place their execution knobs are declared.  The
 ``tiered`` method wraps the compiled Monte-Carlo tier in a vectorized
 RR-sketch screening pass (``tiered``): every ``submit_many`` batch is scored
 with the sketch bound and only the frontier is MC-confirmed.
@@ -33,6 +34,7 @@ from repro.diffusion.exact import ExactEstimator
 from repro.diffusion.factory import (
     DEFAULT_ESTIMATOR_METHOD,
     ESTIMATOR_METHODS,
+    EstimatorSpec,
     make_estimator,
 )
 from repro.diffusion.rr_sets import RRBenefitEstimator, RRSetSampler, estimate_spread_rr
@@ -43,6 +45,7 @@ __all__ = [
     "TieredEstimator",
     "DEFAULT_ESTIMATOR_METHOD",
     "ESTIMATOR_METHODS",
+    "EstimatorSpec",
     "RRBenefitEstimator",
     "RRSetSampler",
     "estimate_spread_rr",

@@ -41,7 +41,7 @@ scheduling unit for that shape — callers *add* deployments to a plan and
   through ``engine.submit`` and the shared shard pool
   (:mod:`repro.diffusion.parallel`), keeping up to ``pipeline_depth``
   evaluations in flight — with results bit-identical to the serial loop for
-  every workers / shard-size / pipeline-depth setting.
+  every workers / shard-size setting and any depth.
 
 No layer above the estimator submits comparison evaluations one at a time:
 S3CA's three phases, the baselines and the experiment harness all build plans
@@ -56,7 +56,11 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional,
 from repro.graph.social_graph import SocialGraph
 
 NodeId = Hashable
-DeploymentKey = Tuple[FrozenSet, Tuple]
+#: Memo key of a deployment: its seed set and its positive ``(node, count)``
+#: pairs, both as frozensets — order-free, and no sort, so node ids of mixed
+#: types (int dataset ids next to str ids added by graph events) never meet
+#: in a comparison.
+DeploymentKey = Tuple[FrozenSet, FrozenSet]
 #: One plan entry / batch element: ``(seeds, allocation)``.
 DeploymentSpec = Tuple[Iterable[NodeId], Mapping[NodeId, int]]
 
@@ -229,5 +233,5 @@ class BenefitEstimator(ABC):
     ) -> DeploymentKey:
         return (
             frozenset(seeds),
-            tuple(sorted((node, int(k)) for node, k in allocation.items() if k > 0)),
+            frozenset((node, int(k)) for node, k in allocation.items() if k > 0),
         )

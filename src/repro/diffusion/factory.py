@@ -6,6 +6,10 @@ one by method name.  This keeps backend selection in one place, lets a single
 ``--estimator`` flag reach every layer, and means new backends (sharded world
 sampling, multiprocess estimation, ...) only need to be registered here.
 
+How an estimator executes — delta engine, sharding, workers, kernel,
+shared memory, screening band — is one :class:`EstimatorSpec`, declared and
+validated here and carried unchanged by every layer above.
+
 >>> from repro.experiments.datasets import toy_scenario
 >>> estimator = make_estimator(toy_scenario(), "mc-compiled", num_samples=50, seed=7)
 >>> estimator.backend
@@ -14,6 +18,7 @@ sampling, multiprocess estimation, ...) only need to be registered here.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.diffusion.estimator import BenefitEstimator
@@ -35,25 +40,82 @@ ESTIMATOR_METHODS = ("mc-compiled", "mc", "exact", "rr", "tiered")
 DEFAULT_ESTIMATOR_METHOD = "mc-compiled"
 
 
+@dataclass(frozen=True)
+class EstimatorSpec:
+    """How an estimator executes: the knobs every layer passes on as one.
+
+    Method, world count and seed stay outside the spec: they decide *what*
+    is estimated.  The spec decides *how*.  Its first five fields apply to
+    the compiled Monte-Carlo backend (``"mc-compiled"`` and the MC tier of
+    ``"tiered"``) and give bit-identical estimates for every setting; the
+    tier fields apply to ``"tiered"`` only.  The other methods ignore it.
+
+    incremental:
+        Attach the delta-evaluation engine (:mod:`repro.diffusion.delta`).
+    shard_size / workers:
+        Evaluate worlds in blocks of ``shard_size`` (``None`` keeps every
+        world resident) on a process pool of ``workers`` (``None``/``1``
+        stays in-process); see :mod:`repro.diffusion.parallel`.  A caller
+        that owns a shared pool sizes it from ``workers``.
+    use_kernel:
+        Native cascade kernel dispatch (:mod:`repro.diffusion.kernels`):
+        ``None`` auto-detects with silent interpreted fallback, ``True``
+        warns on fallback, ``False`` forces the interpreted oracle.
+    shared_memory:
+        Zero-copy shared-memory transport of the compiled graph and world
+        blocks (:mod:`repro.utils.shm`): ``None`` enables it exactly when
+        worlds execute out of process, ``True`` forces it (warning and
+        by-value fallback when unavailable), ``False`` forces private copies.
+    tier_epsilon / tier_top_k:
+        The top ``tier_top_k`` sketch scores of a batch plus everything
+        within a relative ``tier_epsilon`` band below the k-th are
+        MC-confirmed (:class:`~repro.diffusion.tiered.TieredEstimator`).
+    """
+
+    incremental: bool = True
+    shard_size: Optional[int] = None
+    workers: Optional[int] = None
+    use_kernel: Optional[bool] = None
+    shared_memory: Optional[bool] = None
+    tier_epsilon: float = DEFAULT_TIER_EPSILON
+    tier_top_k: int = DEFAULT_TIER_TOP_K
+
+    def __post_init__(self) -> None:
+        for name in ("shard_size", "workers"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise EstimationError(f"{name} must be > 0 or None, got {value}")
+        if not 0.0 <= self.tier_epsilon <= 1.0:
+            raise EstimationError(
+                f"tier_epsilon must be in [0, 1], got {self.tier_epsilon}"
+            )
+        if self.tier_top_k <= 0:
+            raise EstimationError(f"tier_top_k must be > 0, got {self.tier_top_k}")
+
+
+def rr_sketch(
+    graph: SocialGraph, seed: SeedLike, num_sets: Optional[int] = None
+) -> RRBenefitEstimator:
+    """The RR sketch of ``"rr"`` and ``"tiered"`` (and the server's screen).
+
+    ``num_sets`` defaults to ``max(2000, 25 * num_nodes)`` so every node
+    gets a usable number of rooted samples.
+    """
+    num_sets = num_sets or max(2000, 25 * graph.num_nodes)
+    return RRBenefitEstimator(graph, num_sets=num_sets, seed=seed)
+
+
 def make_estimator(
     scenario_or_graph: Union["SocialGraph", object],
     method: str = DEFAULT_ESTIMATOR_METHOD,
     *,
     num_samples: int = 200,
     seed: SeedLike = None,
-    cache_size: int = 50_000,
+    spec: Optional[EstimatorSpec] = None,
+    pool=None,
     max_exact_edges: int = 20,
     num_rr_sets: Optional[int] = None,
-    incremental: bool = True,
-    shard_size: Optional[int] = None,
-    workers: Optional[int] = None,
-    pool=None,
-    pipeline_depth: Optional[int] = None,
-    use_kernel: Optional[bool] = None,
-    shared_memory: Optional[bool] = None,
-    tier_epsilon: float = DEFAULT_TIER_EPSILON,
-    tier_top_k: int = DEFAULT_TIER_TOP_K,
-    tiering: bool = True,
+    **fields,
 ) -> BenefitEstimator:
     """Build a :class:`BenefitEstimator` for a scenario (or bare graph).
 
@@ -72,110 +134,60 @@ def make_estimator(
         every ``submit_many`` batch with only the frontier dispatched to a
         resident compiled Monte-Carlo tier (see
         :class:`~repro.diffusion.tiered.TieredEstimator`).
-    num_samples / seed / cache_size:
-        Monte-Carlo knobs; ``seed`` also drives the RR sampler.
-    max_exact_edges:
-        Edge cap forwarded to :class:`ExactEstimator`.
-    num_rr_sets:
-        RR-set count; defaults to ``max(2000, 25 * num_nodes)`` so every node
-        gets a usable number of rooted samples.
-    incremental:
-        Attach the delta-evaluation engine to the compiled Monte-Carlo
-        backend (default on; ignored by the other methods).  See
-        :mod:`repro.diffusion.delta`.
-    shard_size / workers:
-        Sharded world sampling and the multiprocess shard executor of the
-        compiled Monte-Carlo backend (ignored by the other methods).  Both
-        preserve bit-identical estimates; see
-        :mod:`repro.diffusion.parallel`.
+    num_samples / seed:
+        Monte-Carlo worlds; ``seed`` also drives the RR sampler.
+    spec / fields:
+        How the estimator executes (:class:`EstimatorSpec`, default
+        ``EstimatorSpec()``).  Keyword ``fields`` replace single spec fields,
+        so ``make_estimator(scenario, use_kernel=False)`` needs no spec.
     pool:
         Optional :class:`~repro.diffusion.parallel.SharedShardPool` shared
         across estimators (compiled Monte-Carlo backend only).  The estimator
         registers its worlds on the injected pool instead of creating its
-        own, and never closes it — the pool's owner does.  ``workers`` is
-        ignored when a pool is given (the pool's width wins).
-    pipeline_depth:
-        In-flight bound of the batched evaluation scheduler
-        (:meth:`~repro.diffusion.monte_carlo.MonteCarloEstimator.submit_many`);
-        ``None`` derives ``max(2, 2 * workers)``.  Bit-identical results for
-        any value (compiled Monte-Carlo backend only).
-    use_kernel:
-        Native cascade kernel dispatch (:mod:`repro.diffusion.kernels`):
-        ``None`` auto-detects with silent interpreted fallback, ``True``
-        warns on fallback, ``False`` forces the interpreted oracle.
-        Bit-identical estimates either way (compiled Monte-Carlo backend
-        only).
-    shared_memory:
-        Zero-copy shared-memory transport of the compiled graph and the
-        materialised world blocks (:mod:`repro.utils.shm`): ``None`` enables
-        it exactly when worlds execute out-of-process (``pool`` or
-        ``workers > 1``), ``True`` forces it (warning + by-value fallback
-        when unavailable), ``False`` forces private copies.  Bit-identical
-        estimates for every setting (compiled Monte-Carlo backend only).
-    tier_epsilon / tier_top_k / tiering:
-        Screening knobs of the ``"tiered"`` method (ignored by the others):
-        the top ``tier_top_k`` sketch scores of a batch plus everything
-        within a relative ``tier_epsilon`` band below the k-th are
-        MC-confirmed; ``tiering=False`` disables screening (cross-check
-        mode) while keeping the wrapper's counters.
+        own, and never closes it — the pool's owner does.  ``spec.workers``
+        is ignored when a pool is given (the pool's width wins).
+    max_exact_edges:
+        Edge cap forwarded to :class:`ExactEstimator`.
+    num_rr_sets:
+        RR-set count of the sketch (see :func:`rr_sketch`).
     """
+    spec = spec or EstimatorSpec()
+    if fields:
+        spec = replace(spec, **fields)
     graph = getattr(scenario_or_graph, "graph", scenario_or_graph)
     if not isinstance(graph, SocialGraph):
         raise EstimationError(
             f"expected a Scenario or SocialGraph, got {type(scenario_or_graph)!r}"
         )
-    if method == "mc-compiled":
-        return MonteCarloEstimator(
-            graph,
-            num_samples=num_samples,
-            seed=seed,
-            cache_size=cache_size,
-            backend="compiled",
-            incremental=incremental,
-            shard_size=shard_size,
-            workers=workers,
-            pool=pool,
-            pipeline_depth=pipeline_depth,
-            use_kernel=use_kernel,
-            shared_memory=shared_memory,
-        )
     if method == "mc":
         return MonteCarloEstimator(
-            graph,
-            num_samples=num_samples,
-            seed=seed,
-            cache_size=cache_size,
-            backend="dict",
+            graph, num_samples=num_samples, seed=seed, backend="dict"
         )
     if method == "exact":
         return ExactEstimator(graph, max_edges=max_exact_edges)
     if method == "rr":
-        num_sets = num_rr_sets or max(2000, 25 * graph.num_nodes)
-        return RRBenefitEstimator(graph, num_sets=num_sets, seed=seed)
-    if method == "tiered":
-        mc = MonteCarloEstimator(
-            graph,
-            num_samples=num_samples,
-            seed=seed,
-            cache_size=cache_size,
-            backend="compiled",
-            incremental=incremental,
-            shard_size=shard_size,
-            workers=workers,
-            pool=pool,
-            pipeline_depth=pipeline_depth,
-            use_kernel=use_kernel,
-            shared_memory=shared_memory,
+        return rr_sketch(graph, seed, num_rr_sets)
+    if method not in ("mc-compiled", "tiered"):
+        raise EstimationError(
+            f"unknown estimator method {method!r}; expected one of {ESTIMATOR_METHODS}"
         )
-        num_sets = num_rr_sets or max(2000, 25 * graph.num_nodes)
-        sketch = RRBenefitEstimator(graph, num_sets=num_sets, seed=seed)
-        return TieredEstimator(
-            mc,
-            sketch,
-            tier_epsilon=tier_epsilon,
-            tier_top_k=tier_top_k,
-            tiering=tiering,
-        )
-    raise EstimationError(
-        f"unknown estimator method {method!r}; expected one of {ESTIMATOR_METHODS}"
+    mc = MonteCarloEstimator(
+        graph,
+        num_samples=num_samples,
+        seed=seed,
+        backend="compiled",
+        incremental=spec.incremental,
+        shard_size=spec.shard_size,
+        workers=spec.workers,
+        pool=pool,
+        use_kernel=spec.use_kernel,
+        shared_memory=spec.shared_memory,
+    )
+    if method == "mc-compiled":
+        return mc
+    return TieredEstimator(
+        mc,
+        rr_sketch(graph, seed, num_rr_sets),
+        tier_epsilon=spec.tier_epsilon,
+        tier_top_k=spec.tier_top_k,
     )

@@ -63,6 +63,11 @@ __all__ = ["BenefitEstimator", "MonteCarloEstimator"]
 
 _BACKENDS = ("auto", "compiled", "dict")
 
+#: Maximum number of memoised deployments per cache; a cache is cleared
+#: wholesale when it grows past this bound (the greedy loops have strong
+#: temporal locality, so a simple policy is sufficient).
+CACHE_SIZE = 50_000
+
 
 class MonteCarloEstimator(BenefitEstimator):
     """Expected benefit by averaging over shared live-edge worlds.
@@ -76,10 +81,6 @@ class MonteCarloEstimator(BenefitEstimator):
         runtime; the experiments use a few hundred, unit tests a handful.
     seed:
         Seed controlling the world draws (and hence every estimate).
-    cache_size:
-        Maximum number of memoised deployments; the cache is cleared wholesale
-        when it grows past this bound (the greedy loops have strong temporal
-        locality, so a simple policy is sufficient).
     backend:
         ``"compiled"`` (CSR + vectorized engine), ``"dict"`` (the original
         adjacency-dict cascade) or ``"auto"`` (currently ``compiled``).
@@ -110,12 +111,6 @@ class MonteCarloEstimator(BenefitEstimator):
         ignored) and **never closes an injected pool** — :meth:`close` only
         unregisters this estimator's sampler; shutting the pool down is its
         owner's decision.  Compiled backend only.
-    pipeline_depth:
-        How many submitted evaluations :meth:`submit_many` keeps in flight
-        before draining the oldest.  ``None`` (default) picks
-        ``max(2, 2 * workers)`` — wide enough to keep every worker busy,
-        narrow enough to bound the parent's result buffering.  Any value
-        produces bit-identical results; only throughput changes.
     use_kernel:
         Run the cascade inner loop on the native compiled kernel
         (:mod:`repro.diffusion.kernels`).  ``None`` (default) uses the kernel
@@ -142,13 +137,11 @@ class MonteCarloEstimator(BenefitEstimator):
         num_samples: int = 200,
         seed: SeedLike = None,
         *,
-        cache_size: int = 50_000,
         backend: str = "auto",
         incremental: bool = True,
         shard_size: Optional[int] = None,
         workers: Optional[int] = None,
         pool=None,
-        pipeline_depth: Optional[int] = None,
         use_kernel: Optional[bool] = None,
         shared_memory: Optional[bool] = None,
     ) -> None:
@@ -160,7 +153,6 @@ class MonteCarloEstimator(BenefitEstimator):
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}"
             )
         self.num_samples = int(num_samples)
-        self.cache_size = int(cache_size)
         self.backend = "compiled" if backend == "auto" else backend
         self._worlds: Tuple[LiveEdgeWorld, ...] = ()
         self._engine = None
@@ -195,19 +187,11 @@ class MonteCarloEstimator(BenefitEstimator):
         self.shared_memory_active = (
             engine.shared_memory if engine is not None else False
         )
-        if pipeline_depth is not None:
-            pipeline_depth = int(pipeline_depth)
-            if pipeline_depth < 1:
-                raise EstimationError(
-                    f"pipeline_depth must be >= 1 or None, got {pipeline_depth}"
-                )
         #: In-flight evaluations a batch keeps pending before draining the
-        #: oldest — the default is wide enough to keep every worker busy,
-        #: narrow enough to bound the parent's result buffering.
-        self.pipeline_depth = (
-            pipeline_depth if pipeline_depth is not None
-            else max(2, 2 * self.workers)
-        )
+        #: oldest — wide enough to keep every worker busy, narrow enough to
+        #: bound the parent's result buffering.  Results are bit-identical
+        #: for any depth; only throughput changes.
+        self.pipeline_depth = max(2, 2 * self.workers)
         self._benefit_cache: Dict[DeploymentKey, float] = {}
         self._probability_cache: Dict[DeploymentKey, Dict[NodeId, float]] = {}
         self.evaluations = 0
@@ -671,7 +655,7 @@ class MonteCarloEstimator(BenefitEstimator):
         return total / self.num_samples
 
     def _remember(self, cache: Dict, key: DeploymentKey, value) -> None:
-        if len(cache) >= self.cache_size:
+        if len(cache) >= CACHE_SIZE:
             cache.clear()
         cache[key] = value
 

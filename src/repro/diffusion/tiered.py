@@ -37,7 +37,6 @@ from typing import Dict, Iterable, List, Mapping, Sequence
 
 from repro.diffusion.estimator import BenefitEstimator, DeploymentSpec, NodeId
 from repro.diffusion.rr_sets import RRBenefitEstimator
-from repro.exceptions import EstimationError
 
 #: Default relative width of the epsilon band below the k-th sketch score.
 DEFAULT_TIER_EPSILON = 0.5
@@ -60,16 +59,15 @@ class TieredEstimator(BenefitEstimator):
         graph).  Exposed as :attr:`sketch` so the CELF queue can reuse its
         singleton bounds for speculative evaluation ordering.
     tier_epsilon:
-        Relative band width: slots scoring ``>= kth_score * (1 - epsilon)``
-        are dispatched.  ``0`` keeps only ties with the top-k; larger values
-        are more conservative.
+        Relative band width in ``[0, 1]``: slots scoring
+        ``>= kth_score * (1 - epsilon)`` are dispatched.  ``0`` keeps only
+        ties with the top-k; larger values are more conservative.
     tier_top_k:
-        Minimum number of top-scoring slots always dispatched.  Batches no
-        larger than this are never screened.
-    tiering:
-        ``False`` disables screening entirely (every batch is dispatched);
-        the wrapper still counts batches, which makes it the cross-check
-        mode behind ``--no-tiering``.
+        Minimum number of top-scoring slots always dispatched (``> 0``).
+        Batches no larger than this are never screened.
+
+    Callers pass range-checked knobs: :class:`~repro.diffusion.factory.EstimatorSpec`
+    checks them, and the server's ``SolveRequest`` checks a request's.
     """
 
     def __init__(
@@ -79,20 +77,12 @@ class TieredEstimator(BenefitEstimator):
         *,
         tier_epsilon: float = DEFAULT_TIER_EPSILON,
         tier_top_k: int = DEFAULT_TIER_TOP_K,
-        tiering: bool = True,
     ) -> None:
         super().__init__(mc.graph)
-        if not 0.0 <= tier_epsilon <= 1.0:
-            raise EstimationError(
-                f"tier_epsilon must be in [0, 1], got {tier_epsilon}"
-            )
-        if tier_top_k <= 0:
-            raise EstimationError(f"tier_top_k must be > 0, got {tier_top_k}")
         self.mc = mc
         self.sketch = sketch
         self.tier_epsilon = float(tier_epsilon)
         self.tier_top_k = int(tier_top_k)
-        self.tiering = bool(tiering)
         self.screened_candidates = 0
         self.confirmed_candidates = 0
         self.screened_out_candidates = 0
@@ -136,7 +126,7 @@ class TieredEstimator(BenefitEstimator):
 
     def submit_many(self, deployments: Sequence[DeploymentSpec]) -> List[float]:
         deployments = list(deployments)
-        if not self.tiering or len(deployments) <= self.tier_top_k:
+        if len(deployments) <= self.tier_top_k:
             return self.mc.submit_many(deployments)
         scores = self.sketch.benefit_bounds(deployments)
         kth_score = sorted(scores, reverse=True)[self.tier_top_k - 1]

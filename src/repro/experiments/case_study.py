@@ -93,8 +93,8 @@ def run_case_study(
 ) -> Dict[float, List[RunRecord]]:
     """Run the comparison for every gross margin of one policy (Fig. 8).
 
-    With ``config.workers > 1`` all margins share one worker pool, created
-    here for the duration of the study.
+    With ``config.estimator.workers > 1`` all margins share one worker pool,
+    created here for the duration of the study.
     """
     config = config or ExperimentConfig()
     results: Dict[float, List[RunRecord]] = {}

@@ -12,7 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
-from repro.diffusion.factory import DEFAULT_ESTIMATOR_METHOD, ESTIMATOR_METHODS
+from repro.diffusion.factory import (
+    DEFAULT_ESTIMATOR_METHOD,
+    ESTIMATOR_METHODS,
+    EstimatorSpec,
+)
 from repro.exceptions import ExperimentError
 from repro.utils.env import env_flag, env_int, env_str
 
@@ -48,51 +52,13 @@ class ExperimentConfig:
     max_pivot_candidates: Optional[int] = 150
     limited_coupons: int = 32
     estimator_method: str = DEFAULT_ESTIMATOR_METHOD
-    #: Delta-evaluation engine + CELF lazy queue for S3CA's ID phase.  The
-    #: selected deployments are bit-identical either way; False forces the
-    #: eager full-resimulation reference path.
-    incremental: bool = True
-    #: Sharded world sampling: evaluate worlds in blocks of this size,
-    #: bounding peak memory to O(shard_size) worlds.  ``None`` keeps every
-    #: world resident.  Estimates are bit-identical for any value.
-    shard_size: Optional[int] = None
-    #: Multiprocess shard executor: ``workers > 1`` evaluates shard blocks on
-    #: a persistent process pool with a deterministic streaming reduction —
-    #: results are bit-identical for every worker count.  The runner and the
-    #: sweep harnesses share **one** pool of this width across every
+    #: How the estimator executes.  ``estimator.incremental`` also selects
+    #: S3CA's delta + CELF ID phase (False forces the eager reference path,
+    #: same deployment), and with ``estimator.workers > 1`` the runner and
+    #: the sweep harnesses share **one** pool of that width across every
     #: algorithm, estimator and swept condition (see
-    #: :class:`repro.diffusion.parallel.SharedShardPool`).  ``None``/``1``
-    #: stays serial.
-    workers: Optional[int] = None
-    #: In-flight bound of the batched evaluation scheduler: how many
-    #: submitted evaluations an :class:`~repro.diffusion.estimator.EvaluationPlan`
-    #: keeps pending before draining the oldest.  ``None`` derives
-    #: ``max(2, 2 * workers)``.  Results are bit-identical for any value —
-    #: only throughput changes.
-    pipeline_depth: Optional[int] = None
-    #: Native cascade kernel dispatch (:mod:`repro.diffusion.kernels`):
-    #: ``None`` auto-detects a compiled backend with silent interpreted
-    #: fallback, ``True`` warns on fallback, ``False`` forces the interpreted
-    #: oracle loop.  Results are bit-identical either way — only speed
-    #: changes.
-    use_kernel: Optional[bool] = None
-    #: Zero-copy shared-memory transport of the compiled graph and the
-    #: materialised world blocks (:mod:`repro.utils.shm`): ``None``
-    #: auto-enables it exactly when worlds execute out-of-process
-    #: (``workers > 1`` or an injected pool), ``True`` forces it (warning +
-    #: by-value fallback when the platform lacks shared memory), ``False``
-    #: forces private copies.  Results are bit-identical for every setting —
-    #: only broadcast size and memory change.
-    shared_memory: Optional[bool] = None
-    #: Two-tier screening knobs (``estimator_method="tiered"`` only): the
-    #: top ``tier_top_k`` sketch scores of every evaluation batch plus the
-    #: relative ``tier_epsilon`` band below the k-th are MC-confirmed;
-    #: everything else returns its calibrated sketch score.  ``None`` keeps
-    #: the factory defaults.  ``tiering=False`` disables screening while
-    #: keeping the tiered wrapper (cross-check mode).
-    tier_epsilon: Optional[float] = None
-    tier_top_k: Optional[int] = None
-    tiering: bool = True
+    #: :class:`repro.diffusion.parallel.SharedShardPool`).
+    estimator: EstimatorSpec = field(default_factory=EstimatorSpec)
 
     def __post_init__(self) -> None:
         if self.estimator_method not in ESTIMATOR_METHODS:
@@ -108,24 +74,6 @@ class ExperimentConfig:
             raise ExperimentError(f"repetitions must be > 0, got {self.repetitions}")
         if self.lam <= 0 or self.kappa <= 0:
             raise ExperimentError("lam and kappa must be > 0")
-        if self.shard_size is not None and self.shard_size <= 0:
-            raise ExperimentError(
-                f"shard_size must be > 0 or None, got {self.shard_size}"
-            )
-        if self.workers is not None and self.workers <= 0:
-            raise ExperimentError(f"workers must be > 0 or None, got {self.workers}")
-        if self.pipeline_depth is not None and self.pipeline_depth <= 0:
-            raise ExperimentError(
-                f"pipeline_depth must be > 0 or None, got {self.pipeline_depth}"
-            )
-        if self.tier_epsilon is not None and not 0.0 <= self.tier_epsilon <= 1.0:
-            raise ExperimentError(
-                f"tier_epsilon must be in [0, 1] or None, got {self.tier_epsilon}"
-            )
-        if self.tier_top_k is not None and self.tier_top_k <= 0:
-            raise ExperimentError(
-                f"tier_top_k must be > 0 or None, got {self.tier_top_k}"
-            )
 
     def replace(self, **changes) -> "ExperimentConfig":
         """Return a copy with some fields replaced."""
@@ -149,9 +97,6 @@ class ServerConfig:
     #: Bind address / port of the HTTP server.
     host: str = "127.0.0.1"
     port: int = 8000
-    #: Width of the resident :class:`~repro.diffusion.parallel.SharedShardPool`
-    #: every estimator registers on.  ``None``/``1`` evaluates in-process.
-    workers: Optional[int] = None
     #: Solve-job worker threads draining the bounded job queue.
     job_workers: int = 2
     #: Bound of the job queue; submissions past it are rejected (HTTP 503)
@@ -161,12 +106,11 @@ class ServerConfig:
     #: their own at registration time.
     num_samples: int = 200
     seed: int = 2019
-    #: Estimator knobs threaded into every resident estimator (same semantics
-    #: as :class:`ExperimentConfig`).
-    shard_size: Optional[int] = None
-    pipeline_depth: Optional[int] = None
-    use_kernel: Optional[bool] = None
-    shared_memory: Optional[bool] = None
+    #: How every resident estimator executes.  ``estimator.workers`` sizes
+    #: the resident :class:`~repro.diffusion.parallel.SharedShardPool` every
+    #: estimator registers on (``None``/``1`` evaluates in-process); the tier
+    #: fields are the screening band of tiered solves that name none.
+    estimator: EstimatorSpec = field(default_factory=EstimatorSpec)
     #: Compiled-graph cache directory for SNAP registrations (``None`` =
     #: ``$REPRO_GRAPH_CACHE_DIR`` or ``~/.cache/repro-graphs``).
     graph_cache_dir: Optional[str] = None
@@ -174,8 +118,6 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if not (0 < self.port < 65536):
             raise ExperimentError(f"port must be in (0, 65536), got {self.port}")
-        if self.workers is not None and self.workers <= 0:
-            raise ExperimentError(f"workers must be > 0 or None, got {self.workers}")
         if self.job_workers <= 0:
             raise ExperimentError(f"job_workers must be > 0, got {self.job_workers}")
         if self.max_queued_jobs <= 0:
@@ -184,14 +126,6 @@ class ServerConfig:
             )
         if self.num_samples <= 0:
             raise ExperimentError(f"num_samples must be > 0, got {self.num_samples}")
-        if self.shard_size is not None and self.shard_size <= 0:
-            raise ExperimentError(
-                f"shard_size must be > 0 or None, got {self.shard_size}"
-            )
-        if self.pipeline_depth is not None and self.pipeline_depth <= 0:
-            raise ExperimentError(
-                f"pipeline_depth must be > 0 or None, got {self.pipeline_depth}"
-            )
 
     def replace(self, **changes) -> "ServerConfig":
         """Return a copy with some fields replaced."""
@@ -205,28 +139,29 @@ class ServerConfig:
 
         Explicit keyword overrides (the CLI flags) win over the environment;
         ``None`` overrides are ignored so flag defaults don't mask env values.
+        Overrides of the estimator's knobs (``workers``) land in
+        :attr:`estimator`.
         """
+        spec = {
+            "workers": env_int("REPRO_SERVER_WORKERS", default=None),
+            "shard_size": env_int("REPRO_SERVER_SHARD_SIZE", default=None),
+            "use_kernel": False if env_flag("REPRO_SERVER_NO_KERNEL") else None,
+            "shared_memory": (
+                False if env_flag("REPRO_SERVER_NO_SHARED_MEMORY") else None
+            ),
+        }
         values = {
             "host": env_str("REPRO_SERVER_HOST", default=cls.host),
             "port": env_int("REPRO_SERVER_PORT", default=cls.port),
-            "workers": env_int("REPRO_SERVER_WORKERS", default=None),
             "job_workers": env_int("REPRO_SERVER_JOB_WORKERS", default=cls.job_workers),
             "max_queued_jobs": env_int(
                 "REPRO_SERVER_MAX_QUEUE", default=cls.max_queued_jobs
             ),
             "num_samples": env_int("REPRO_SERVER_SAMPLES", default=cls.num_samples),
             "seed": env_int("REPRO_SERVER_SEED", default=cls.seed),
-            "shard_size": env_int("REPRO_SERVER_SHARD_SIZE", default=None),
-            "pipeline_depth": env_int("REPRO_SERVER_PIPELINE_DEPTH", default=None),
-            "use_kernel": (
-                False if env_flag("REPRO_SERVER_NO_KERNEL") else None
-            ),
-            "shared_memory": (
-                False if env_flag("REPRO_SERVER_NO_SHARED_MEMORY") else None
-            ),
             "graph_cache_dir": env_str("REPRO_SERVER_GRAPH_CACHE_DIR", default=None),
         }
-        values.update(
-            {key: value for key, value in overrides.items() if value is not None}
-        )
-        return cls(**values)
+        for key, value in overrides.items():
+            if value is not None:
+                (spec if key in spec else values)[key] = value
+        return cls(estimator=EstimatorSpec(**spec), **values)

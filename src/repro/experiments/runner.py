@@ -36,13 +36,11 @@ def shared_pool_for(config: ExperimentConfig):
     for the duration of a sweep.  The caller owns the returned pool and must
     close it.
     """
-    if (config.workers or 1) > 1 and config.estimator_method in (
-        "mc-compiled",
-        "tiered",
-    ):
+    workers = config.estimator.workers or 1
+    if workers > 1 and config.estimator_method in ("mc-compiled", "tiered"):
         from repro.diffusion.parallel import SharedShardPool
 
-        return SharedShardPool(config.workers)
+        return SharedShardPool(workers)
     return None
 
 
@@ -65,8 +63,8 @@ class ExperimentRunner:
     """Runs a list of algorithms on one scenario with a shared estimator.
 
     Every algorithm is priced by **one** estimator (same live-edge worlds, so
-    comparisons are noise-free), and with ``config.workers > 1`` that
-    estimator runs on **one** persistent worker pool: either the injected
+    comparisons are noise-free), and with ``config.estimator.workers > 1``
+    that estimator runs on **one** persistent worker pool: either the injected
     ``pool`` (shared across runners — how the sweep harnesses amortise pool
     start-up over a whole parameter sweep) or a pool the runner creates and
     owns.  :meth:`close` releases the estimator and shuts down only a
@@ -95,22 +93,8 @@ class ExperimentRunner:
                 self.config.estimator_method,
                 num_samples=self.config.num_samples,
                 seed=self.config.seed,
-                incremental=self.config.incremental,
-                shard_size=self.config.shard_size,
-                workers=self.config.workers,
+                spec=self.config.estimator,
                 pool=pool,
-                pipeline_depth=self.config.pipeline_depth,
-                use_kernel=self.config.use_kernel,
-                shared_memory=self.config.shared_memory,
-                tiering=self.config.tiering,
-                **{
-                    key: value
-                    for key, value in (
-                        ("tier_epsilon", self.config.tier_epsilon),
-                        ("tier_top_k", self.config.tier_top_k),
-                    )
-                    if value is not None
-                },
             )
         self.estimator = estimator
 
@@ -163,7 +147,7 @@ class ExperimentRunner:
                     estimator=est,
                     candidate_limit=config.candidate_limit,
                     max_pivot_candidates=config.max_pivot_candidates,
-                    incremental=config.incremental,
+                    incremental=config.estimator.incremental,
                 ),
             )
         )

@@ -89,13 +89,8 @@ def measure_s3ca(
         config.estimator_method,
         num_samples=config.num_samples,
         seed=config.seed,
-        incremental=config.incremental,
-        shard_size=config.shard_size,
-        workers=config.workers,
+        spec=config.estimator,
         pool=pool,
-        pipeline_depth=config.pipeline_depth,
-        use_kernel=config.use_kernel,
-        shared_memory=config.shared_memory,
     )
     try:
         algorithm = S3CA(
@@ -103,7 +98,7 @@ def measure_s3ca(
             estimator=estimator,
             candidate_limit=config.candidate_limit,
             max_pivot_candidates=config.max_pivot_candidates,
-            incremental=config.incremental,
+            incremental=config.estimator.incremental,
         )
         with Timer() as timer:
             result = algorithm.solve()

@@ -112,9 +112,9 @@ def _sweep(
 ) -> Dict[str, Series]:
     """Shared sweep implementation returning ``{metric: {algorithm: {x: y}}}``.
 
-    With ``config.workers > 1`` every swept condition's runner registers on
-    **one** shared worker pool created here for the whole sweep, instead of
-    paying a process-pool start-up per condition.
+    With ``config.estimator.workers > 1`` every swept condition's runner
+    registers on **one** shared worker pool created here for the whole sweep,
+    instead of paying a process-pool start-up per condition.
     """
     results: Dict[str, Series] = {metric: {} for metric in metrics}
     pool = shared_pool_for(config)

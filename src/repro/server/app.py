@@ -289,7 +289,7 @@ def serve(config: Optional[ServerConfig] = None) -> None:
         config.host,
         config.port,
         framework,
-        config.workers or 1,
+        config.estimator.workers or 1,
         config.job_workers,
     )
     try:

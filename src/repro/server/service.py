@@ -61,8 +61,9 @@ class CampaignService:
         #: One pool for the whole server; estimators register on it and never
         #: close it — the service owns its lifetime.
         self.pool: Optional[SharedShardPool] = None
-        if self.config.workers is not None and self.config.workers > 1:
-            self.pool = SharedShardPool(self.config.workers)
+        workers = self.config.estimator.workers or 1
+        if workers > 1:
+            self.pool = SharedShardPool(workers)
         self.started_at = time.time()
         self._closed = False
         self._close_lock = threading.Lock()
@@ -129,12 +130,13 @@ class CampaignService:
                 # the MC estimator and the RR sketch both stay warm; only the
                 # screening knobs (and counters) are per-request.
                 sketch, sketch_built = entry.ensure_sketch()
-                tier_kwargs = {}
-                if request.tier_epsilon is not None:
-                    tier_kwargs["tier_epsilon"] = request.tier_epsilon
-                if request.tier_topk is not None:
-                    tier_kwargs["tier_top_k"] = request.tier_topk
-                solve_estimator = TieredEstimator(estimator, sketch, **tier_kwargs)
+                spec = self.config.estimator
+                solve_estimator = TieredEstimator(
+                    estimator,
+                    sketch,
+                    tier_epsilon=_first_set(request.tier_epsilon, spec.tier_epsilon),
+                    tier_top_k=_first_set(request.tier_topk, spec.tier_top_k),
+                )
             began = time.perf_counter()
             algorithm = S3CA(
                 entry.scenario,
@@ -499,6 +501,11 @@ class CampaignService:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _first_set(requested, default):
+    """A request's knob when it names one, else the configured default."""
+    return default if requested is None else requested
 
 
 def _resolve_node(graph: SocialGraph, raw: str) -> NodeId:

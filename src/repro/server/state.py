@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.diffusion.factory import make_estimator
+from repro.diffusion.factory import make_estimator, rr_sketch
 from repro.diffusion.monte_carlo import MonteCarloEstimator
 from repro.diffusion.rr_sets import RRBenefitEstimator
 from repro.economics.scenario import Scenario
@@ -100,12 +100,8 @@ class ResidentScenario:
             "mc-compiled",
             num_samples=self.num_samples,
             seed=self.seed,
-            shard_size=config.shard_size,
-            workers=None if pool is not None else config.workers,
+            spec=config.estimator,
             pool=pool,
-            pipeline_depth=config.pipeline_depth,
-            use_kernel=config.use_kernel,
-            shared_memory=config.shared_memory,
         )
         self.estimator_build_seconds = time.perf_counter() - began
         self.estimator_builds += 1
@@ -124,12 +120,7 @@ class ResidentScenario:
         if self.sketch is not None:
             return self.sketch, False
         began = time.perf_counter()
-        graph = self.scenario.graph
-        self.sketch = RRBenefitEstimator(
-            graph,
-            num_sets=max(2000, 25 * graph.num_nodes),
-            seed=self.seed,
-        )
+        self.sketch = rr_sketch(self.scenario.graph, self.seed)
         self.sketch_build_seconds = time.perf_counter() - began
         self.sketch_builds += 1
         return self.sketch, True

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.deployment import Deployment
+from repro.diffusion.estimator import BenefitEstimator
 from repro.diffusion.exact import ExactEstimator
 from repro.exceptions import AllocationError
 
@@ -79,32 +80,18 @@ def test_with_coupons_retrieved(two_hop_path):
 
 
 def test_key_is_order_insensitive(two_hop_path):
+    """The estimators' memo key ignores seed and allocation order."""
     first = Deployment(two_hop_path, seeds=["a", "b"], allocation={"a": 1, "b": 1})
     second = Deployment(two_hop_path, seeds=["b", "a"], allocation={"b": 1, "a": 1})
-    assert first.key() == second.key()
-
-
-def test_key_is_memoised_on_the_instance(two_hop_path):
-    deployment = Deployment(two_hop_path, seeds=["a"], allocation={"a": 1})
-    first = deployment.key()
-    assert deployment.key() is first  # cached, not recomputed
-
-
-def test_key_memo_invalidated_by_allocation_mutation(two_hop_path):
-    deployment = Deployment(two_hop_path, seeds=["a"], allocation={"a": 1})
-    stale = deployment.key()
-    deployment.allocation.set("b", 1)  # in-place edit, as the baselines do
-    fresh = deployment.key()
-    assert fresh != stale
-    assert fresh[1] == (("a", 1), ("b", 1))
-
-
-def test_key_memo_not_shared_by_variants(two_hop_path):
-    base = Deployment(two_hop_path, seeds=["a"], allocation={"a": 1})
-    base_key = base.key()
-    variant = base.with_extra_coupon("b")
-    assert variant.key() != base_key
-    assert base.key() == base_key
+    key = BenefitEstimator._key
+    assert key(first.seeds, first.allocation.as_dict()) == key(
+        second.seeds, second.allocation.as_dict()
+    )
+    assert key(first.seeds, {"a": 1}) != key(first.seeds, {"a": 1, "b": 1})
+    # Zero counts are not allocations: they do not change the key.
+    assert key(["a"], {"a": 1, "b": 0}) == key(["a"], {"a": 1})
+    # Node ids of mixed types never meet in a comparison.
+    assert key([1, "n1"], {"n1": 1, 1: 2}) == key(["n1", 1], {1: 2, "n1": 1})
 
 
 def test_summary_contains_expected_fields(two_hop_path):

@@ -25,10 +25,8 @@ from repro.baselines.profit_max import GreedyProfitMaximization
 from repro.diffusion.estimator import BenefitEstimator
 from repro.diffusion.factory import make_estimator
 from repro.diffusion.monte_carlo import MonteCarloEstimator
-from repro.exceptions import EstimationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.scalability import synthetic_scenario
-from repro.exceptions import ExperimentError
 
 NUM_SAMPLES = 30
 SEED = 2019
@@ -122,15 +120,18 @@ def test_expected_spreads_match_single_calls(toy):
 
 
 def test_pipeline_depth_knob_validation(toy):
-    estimator = make_estimator(toy, num_samples=10, seed=1, pipeline_depth=7)
-    assert estimator.pipeline_depth == 7
+    """The in-flight bound is derived from the worker count; no layer takes
+    it as a knob any more."""
     default = make_estimator(toy, num_samples=10, seed=1)
     assert default.pipeline_depth == max(2, 2 * default.workers)
-    with pytest.raises(EstimationError):
+    with pytest.raises(TypeError):
+        make_estimator(toy, num_samples=10, seed=1, pipeline_depth=7)
+    with pytest.raises(TypeError):
         MonteCarloEstimator(toy.graph, num_samples=10, seed=1, pipeline_depth=0)
-    with pytest.raises(ExperimentError):
-        ExperimentConfig(pipeline_depth=0)
-    assert ExperimentConfig(pipeline_depth=4).pipeline_depth == 4
+    with pytest.raises(TypeError):
+        ExperimentConfig(pipeline_depth=4)
+    with pytest.raises(TypeError):
+        S3CA(toy, num_samples=10, seed=1, pipeline_depth=4)
 
 
 # ----------------------------------------------------------------------
@@ -232,9 +233,12 @@ def test_im_pm_baselines_batched_match_serial(scenario):
 
 def test_full_s3ca_identical_for_any_pipeline_depth(scenario):
     def solve(depth):
+        estimator = make_estimator(scenario, num_samples=NUM_SAMPLES, seed=SEED)
+        if depth is not None:
+            estimator.pipeline_depth = depth
         return S3CA(
-            scenario, num_samples=NUM_SAMPLES, seed=SEED,
-            candidate_limit=8, max_pivot_candidates=15, pipeline_depth=depth,
+            scenario, estimator=estimator,
+            candidate_limit=8, max_pivot_candidates=15,
         ).solve()
 
     reference = solve(None)
@@ -254,15 +258,17 @@ def test_full_s3ca_workers_and_pipeline_depth_match_serial(scenario):
         scenario, num_samples=NUM_SAMPLES, seed=SEED,
         candidate_limit=8, max_pivot_candidates=15,
     ).solve()
-    algorithm = S3CA(
-        scenario, num_samples=NUM_SAMPLES, seed=SEED,
-        candidate_limit=8, max_pivot_candidates=15,
-        workers=2, shard_size=16, pipeline_depth=1,
+    estimator = make_estimator(
+        scenario, num_samples=NUM_SAMPLES, seed=SEED, workers=2, shard_size=16,
     )
+    estimator.pipeline_depth = 1
     try:
-        parallel = algorithm.solve()
+        parallel = S3CA(
+            scenario, estimator=estimator,
+            candidate_limit=8, max_pivot_candidates=15,
+        ).solve()
     finally:
-        algorithm.estimator.close()
+        estimator.close()
     assert parallel.seeds == serial.seeds
     assert parallel.allocation == serial.allocation
     assert parallel.expected_benefit == serial.expected_benefit

@@ -25,15 +25,18 @@ def scenario():
 
 
 def _solve(scenario, **estimator_knobs):
-    result = S3CA(
-        scenario,
-        num_samples=NUM_SAMPLES,
-        seed=SEED,
-        candidate_limit=8,
-        max_pivot_candidates=15,
-        **estimator_knobs,
-    ).solve()
-    return result
+    estimator = make_estimator(
+        scenario, num_samples=NUM_SAMPLES, seed=SEED, **estimator_knobs
+    )
+    try:
+        return S3CA(
+            scenario,
+            estimator=estimator,
+            candidate_limit=8,
+            max_pivot_candidates=15,
+        ).solve()
+    finally:
+        estimator.close()
 
 
 def test_parallel_sharded_s3ca_matches_serial(scenario):

@@ -44,16 +44,15 @@ def untiered(scenario):
     )
 
 
-def _solve_tiered(scenario, **kwargs):
-    algorithm = S3CA(
-        scenario,
-        estimator_method="tiered",
-        num_samples=NUM_SAMPLES,
-        seed=SEED,
-        **kwargs,
+def _solve_tiered(scenario, **spec_fields):
+    estimator = make_estimator(
+        scenario, "tiered", num_samples=NUM_SAMPLES, seed=SEED, **spec_fields
     )
-    assert isinstance(algorithm.estimator, TieredEstimator)
-    return algorithm.solve()
+    assert isinstance(estimator, TieredEstimator)
+    try:
+        return S3CA(scenario, estimator=estimator).solve()
+    finally:
+        estimator.close()
 
 
 def _assert_identical(reference, result):
@@ -90,13 +89,6 @@ def test_screening_counters_pinned(scenario, untiered):
         == stats["screened_candidates"]
     )
     assert 0 <= stats["speculative_hits"] <= stats["speculative_evals"]
-
-
-def test_no_tiering_flag_disables_screening(scenario, untiered):
-    result = _solve_tiered(scenario, tiering=False)
-    _assert_identical(untiered, result)
-    assert result.tier_stats["screening_batches"] == 0
-    assert result.tier_stats["screened_candidates"] == 0
 
 
 # ----------------------------------------------------------------------

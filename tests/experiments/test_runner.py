@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.coupon_wrappers import make_im_u
 from repro.core.s3ca import S3CA
+from repro.diffusion.factory import EstimatorSpec
 from repro.experiments.config import AlgorithmSpec, ExperimentConfig
 from repro.experiments.datasets import toy_scenario
 from repro.experiments.runner import ExperimentRunner, RunRecord
@@ -76,9 +77,8 @@ def test_runner_owns_its_pool_and_closes_it(tiny_config):
     import multiprocessing
 
     baseline = len(multiprocessing.active_children())
-    with ExperimentRunner(
-        toy_scenario(), tiny_config.replace(workers=2, shard_size=10)
-    ) as runner:
+    parallel = tiny_config.replace(estimator=EstimatorSpec(workers=2, shard_size=10))
+    with ExperimentRunner(toy_scenario(), parallel) as runner:
         assert runner.pool is not None and not runner.pool.closed
         spec = AlgorithmSpec(
             "IM-U",
@@ -103,7 +103,8 @@ def test_runner_never_closes_an_injected_pool(tiny_config):
 
     with SharedShardPool(2) as pool:
         with ExperimentRunner(
-            toy_scenario(), tiny_config.replace(workers=2, shard_size=10),
+            toy_scenario(),
+            tiny_config.replace(estimator=EstimatorSpec(workers=2, shard_size=10)),
             pool=pool,
         ) as runner:
             assert runner.pool is pool

@@ -63,7 +63,8 @@ def test_deployment_variants_do_not_mutate_base(leaves):
     for node in graph.nodes():
         graph.add_node(node, benefit=1.0, seed_cost=2.0, sc_cost=1.0)
     base = Deployment(graph, seeds=[0])
-    base_key = base.key()
+    seeds, allocation = set(base.seeds), base.allocation.as_dict()
     base.with_extra_coupon(0)
     base.with_seed(1)
-    assert base.key() == base_key
+    assert base.seeds == seeds
+    assert base.allocation.as_dict() == allocation

@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from repro.core.s3ca import S3CA
 from repro.diffusion import kernels
 from repro.diffusion.engine import CompiledCascadeEngine
+from repro.diffusion.factory import make_estimator
 from repro.diffusion.monte_carlo import MonteCarloEstimator
 from repro.experiments.scalability import synthetic_scenario
 from repro.graph.social_graph import SocialGraph
@@ -199,9 +200,11 @@ def test_full_s3ca_deployment_identical_with_and_without_kernel():
     solved = {}
     for use_kernel in (True, False):
         algorithm = S3CA(
-            scenario, num_samples=NUM_SAMPLES, seed=2019,
+            scenario,
+            estimator=make_estimator(
+                scenario, num_samples=NUM_SAMPLES, seed=2019, use_kernel=use_kernel
+            ),
             candidate_limit=8, max_pivot_candidates=15,
-            use_kernel=use_kernel,
         )
         assert algorithm.estimator.kernel_active is use_kernel
         result = algorithm.solve()

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from repro.core.s3ca import S3CA
 from repro.diffusion import kernels
 from repro.diffusion.engine import CompiledCascadeEngine
+from repro.diffusion.factory import make_estimator
 from repro.diffusion.monte_carlo import MonteCarloEstimator
 from repro.experiments.scalability import synthetic_scenario
 from repro.graph.social_graph import SocialGraph
@@ -128,9 +129,12 @@ def test_full_s3ca_deployment_identical_with_and_without_shared_memory():
     solved = {}
     for shared_memory in (True, False):
         algorithm = S3CA(
-            scenario, num_samples=NUM_SAMPLES, seed=2019,
+            scenario,
+            estimator=make_estimator(
+                scenario, num_samples=NUM_SAMPLES, seed=2019,
+                shared_memory=shared_memory,
+            ),
             candidate_limit=8, max_pivot_candidates=12,
-            shared_memory=shared_memory,
         )
         assert algorithm.estimator.shared_memory_active is shared_memory
         result = algorithm.solve()

@@ -19,6 +19,7 @@ pytest.importorskip("pydantic", reason="server tests need the 'server' extra")
 from pydantic import ValidationError
 
 from repro.experiments.config import ServerConfig
+from repro.server.app import CampaignApi
 from repro.server.errors import InvalidRequest, SolveInFlight, UnknownScenario
 from repro.server.schemas import (
     GraphEventModel,
@@ -152,6 +153,34 @@ class TestEventsReconcile:
             assert answer["events_applied"] == expected
             assert answer["resident"]["estimator_builds"] == 1
         assert entry.events_applied == 2
+
+    def test_whatif_mixing_int_and_str_node_ids(self, service):
+        """A node added by events keeps its wire id ("n1") next to the
+        dataset's int ids; a what-if allocating to both is answered (it used
+        to crash sorting the memo key) and matches a cold evaluation."""
+        api = CampaignApi(service)
+        sid = _registered(service)
+        result = _solved(service, sid)
+        seed = result["seeds"][0]
+        status, _ = api.apply_events(sid, {"events": [
+            {"type": "node_add", "node": "n1"},
+            {"type": "edge_add", "source": "n1", "target": seed, "probability": 0.5},
+        ]})
+        assert status == 200
+        status, whatif = api.whatif(sid, {"extra_coupons": {"n1": 1, seed: 1}})
+        assert status == 200
+        assert whatif["answered_by"] == "delta-splice"
+
+        entry = service.registry.get(sid)
+        graph = entry.scenario.graph
+        seeds = {int(raw) for raw in result["seeds"]}
+        allocation = {int(raw): count for raw, count in result["allocation"].items()}
+        allocation[int(seed)] = allocation.get(int(seed), 0) + 1
+        allocation["n1"] = 1
+        assert "n1" in graph and int(seed) in graph
+        assert whatif["modified"]["expected_benefit"] == _evolved_cold_benefit(
+            entry.estimator, seeds, allocation
+        )
 
 
 def _evolved_cold_benefit(resident_estimator, seeds, allocation):
