@@ -15,7 +15,14 @@ benefit evaluation costs milliseconds (the regime the kernel exists for):
   bit (``identical_benefits``); the benchmark fails otherwise, whatever the
   speedup;
 * **warm-up accounting** — the resolved backend name and the one-off
-  compile/warm-up seconds recorded at engine construction.
+  compile/warm-up seconds recorded at engine construction;
+* **snapshot path** (recorded, not gated) — milliseconds of one
+  instrumented pass over every world, the delta engine's snapshot, with the
+  kernel and with the interpreted loop; their queues and coupon-limited
+  lists must be equal.  The gated speedup above is for full passes only: a
+  snapshot also builds every world's Python lists, which the kernel does
+  not speed up, and at the tight-budget deployments of real solves (one
+  seed, a coupon or two) the kernel only matches the interpreted loop.
 
 The deployments are deliberately heavy (many seeds, coupons on every
 spreader) so cascades run deep: the kernel accelerates the per-activation
@@ -109,6 +116,18 @@ def _throughput(engine, deployments):
     return benefits, rate
 
 
+def _snapshot_passes(engine, inputs):
+    """(outputs, ms per pass): one instrumented pass over every world per
+    deployment, the delta engine's snapshot path."""
+    worlds = range(engine.num_worlds)
+    with Timer() as timer:
+        outputs = [
+            list(engine.cascade_worlds_instrumented(worlds, seed_indices, coupons))
+            for seed_indices, coupons in inputs
+        ]
+    return outputs, timer.elapsed * 1e3 / len(inputs)
+
+
 def _append_trajectory(points, backend, effective_workers, parallel_skip_reason):
     data = {"benchmark": "kernel_cascade", "runs": []}
     if TRAJECTORY_PATH.exists():
@@ -180,6 +199,23 @@ def test_kernel_vs_interpreted_throughput(report):
         # Parity is the contract; speed without it is worthless.
         assert kernel_benefits == interpreted_benefits
 
+        snapshot_inputs = [
+            (
+                compiled.indices_of(sorted(seeds, key=str)),
+                compiled.allocation_vector(allocation).tolist(),
+            )
+            for seeds, allocation in deployments
+        ]
+        _snapshot_passes(interpreted, snapshot_inputs[:1])  # symmetric warm-up
+        _snapshot_passes(kernel_engine, snapshot_inputs[:1])
+        interpreted_snapshots, interpreted_snapshot_ms = _snapshot_passes(
+            interpreted, snapshot_inputs
+        )
+        kernel_snapshots, kernel_snapshot_ms = _snapshot_passes(
+            kernel_engine, snapshot_inputs
+        )
+        assert kernel_snapshots == interpreted_snapshots
+
         point = {
             "nodes": size,
             "edges": scenario.num_edges,
@@ -187,6 +223,9 @@ def test_kernel_vs_interpreted_throughput(report):
             "kernel_evals_per_sec": round(kernel_rate, 2),
             "speedup": round(kernel_rate / interpreted_rate, 2),
             "kernel_compile_seconds": round(compile_seconds, 4),
+            "interpreted_snapshot_ms": round(interpreted_snapshot_ms, 3),
+            "kernel_snapshot_ms": round(kernel_snapshot_ms, 3),
+            "identical_snapshots": True,
             "workers2_interpreted_evals_per_sec": None,
             "workers2_kernel_evals_per_sec": None,
             "workers2_speedup": None,

@@ -669,17 +669,27 @@ class CompiledCascadeEngine:
                     "slower",
                     stacklevel=2,
                 )
-        num_nodes = compiled.num_nodes
         if self._kernel is not None:
             # Warm the JIT on a one-world dummy block now, so the first real
             # evaluation (CELF pivot-queue timings, benchmarks) never pays
             # compilation latency; record what the warm-up cost.
             self.kernel_compile_seconds = self._kernel.warm()
+        self._reset_scratch()
+
+    def _reset_scratch(self) -> None:
+        """(Re)allocate the cascade scratch and output buffers for the graph."""
+        num_nodes = self.compiled.num_nodes
+        if self._kernel is not None:
             self._kernel_visited = np.zeros(num_nodes, dtype=np.int64)
             self._kernel_stamp = 0
+            self._kernel_coupons = np.zeros(num_nodes, dtype=np.int64)
+            # Instrumented output: queues and limited lists back to back,
+            # plus per-world end offsets.  ``_kernel_queue`` doubles as the
+            # block kernel's FIFO scratch, so it never holds fewer than
+            # ``num_nodes`` entries — enough for any one world.
             self._kernel_queue = np.empty(num_nodes, dtype=np.int32)
             self._kernel_limited = np.empty(num_nodes, dtype=np.int32)
-            self._kernel_coupons = np.zeros(num_nodes, dtype=np.int64)
+            self._kernel_ends = np.empty((self.shard_size, 2), dtype=np.int64)
 
         # Stamp-versioned visited array shared across interpreted cascades:
         # bumping the stamp resets it in O(1) instead of reallocating per
@@ -780,16 +790,10 @@ class CompiledCascadeEngine:
         Runs on the native kernel when one is active (identical queues and
         limited lists, only faster); callers with several worlds to
         re-simulate should prefer :meth:`cascade_worlds_instrumented`, which
-        converts the seed/coupon buffers once for the whole batch.
+        cascades them in one kernel call per block.
         """
-        if self._kernel is not None:
-            return self._kernel_world_instrumented(
-                world_index,
-                np.asarray(seed_indices, dtype=np.int32),
-                np.asarray(coupons, dtype=np.int64),
-            )
-        return self._interpreted_world_instrumented(
-            world_index, seed_indices, coupons
+        return next(
+            self.cascade_worlds_instrumented((world_index,), seed_indices, coupons)
         )
 
     def cascade_worlds_instrumented(
@@ -800,11 +804,15 @@ class CompiledCascadeEngine:
     ) -> Iterator[Tuple[List[int], List[int]]]:
         """Instrumented cascades over several worlds of one deployment.
 
-        Yields ``(queue, limited)`` per world of ``world_indices``, exactly
-        as per-world :meth:`cascade_world_instrumented` calls would — this
-        is the batch entry point the delta engine's snapshot and splice
-        passes run on, so the kernel path pays the seed/coupon array
-        conversion once per pass instead of once per world.
+        Yields ``(queue, limited)`` per world of ``world_indices`` (any order,
+        repeats allowed), exactly as per-world
+        :meth:`cascade_world_instrumented` calls would.  This is the entry
+        point the delta engine's snapshot, splice and reconcile passes run
+        on.  On the kernel path the indices are split into order-preserving
+        runs that share a block, and each run is one kernel call writing
+        every world's output back to back into the engine's buffers; a call
+        that stops early (the buffers were too small) is drained, the
+        buffers double, and the rest of the run goes in the next call.
         """
         if self._kernel is None:
             for world_index in world_indices:
@@ -812,33 +820,63 @@ class CompiledCascadeEngine:
                     world_index, seed_indices, coupons
                 )
             return
+        worlds = np.fromiter(world_indices, dtype=np.int64)
+        if not worlds.size:
+            return
+        if worlds.min() < 0 or worlds.max() >= self.num_worlds:
+            raise IndexError(
+                f"world indices must lie in [0, {self.num_worlds}), got "
+                f"{worlds.min()}..{worlds.max()}"
+            )
         seeds_arr = np.asarray(seed_indices, dtype=np.int32)
         coupons_arr = np.asarray(coupons, dtype=np.int64)
-        for world_index in world_indices:
-            yield self._kernel_world_instrumented(
-                world_index, seeds_arr, coupons_arr
-            )
+        kernel = self._kernel
+        stamp = self._kernel_stamp
+        # Reserve the whole stamp range up front, as the run path does.
+        self._kernel_stamp = stamp + worlds.size
+        for block, slots in self._block_runs(worlds):
+            if self._kernel_ends.shape[0] < slots.size:
+                self._kernel_ends = np.empty((slots.size, 2), dtype=np.int64)
+            while True:
+                finished = kernel.cascade_world_instrumented(
+                    block.targets, block.offsets, slots, seeds_arr, coupons_arr,
+                    self._kernel_visited, stamp, self._kernel_queue,
+                    self._kernel_limited, self._kernel_ends,
+                )
+                stamp += finished
+                # The buffers always fit one world, so ``finished >= 1``.
+                # Copy the finished worlds out before yielding: the buffers
+                # are reused by the next call.
+                bounds = self._kernel_ends[:finished].tolist()
+                queues = self._kernel_queue[: bounds[-1][0]].tolist()
+                limited = self._kernel_limited[: bounds[-1][1]].tolist()
+                queue_start = limited_start = 0
+                for queue_end, limited_end in bounds:
+                    yield (
+                        queues[queue_start:queue_end],
+                        limited[limited_start:limited_end],
+                    )
+                    queue_start, limited_start = queue_end, limited_end
+                if finished == slots.size:
+                    break
+                slots = slots[finished:]
+                capacity = 2 * self._kernel_queue.shape[0]
+                self._kernel_queue = np.empty(capacity, dtype=np.int32)
+                self._kernel_limited = np.empty(capacity, dtype=np.int32)
 
-    def _kernel_world_instrumented(
-        self, world_index: int, seeds_arr: np.ndarray, coupons_arr: np.ndarray
-    ) -> Tuple[List[int], List[int]]:
-        """One world's instrumented cascade on the native kernel."""
-        block, slot = self._world_slot(world_index)
-        self._kernel_stamp += 1
-        queue_length, limited_length = self._kernel.cascade_world_instrumented(
-            block.targets,
-            block.offsets[slot],
-            seeds_arr,
-            coupons_arr,
-            self._kernel_visited,
-            self._kernel_stamp,
-            self._kernel_queue,
-            self._kernel_limited,
-        )
-        return (
-            self._kernel_queue[:queue_length].tolist(),
-            self._kernel_limited[:limited_length].tolist(),
-        )
+    def _block_runs(
+        self, worlds: np.ndarray
+    ) -> Iterator[Tuple[FlatWorldBlock, np.ndarray]]:
+        """Split world indices into order-preserving ``(block, slots)`` runs."""
+        if self._resident_block is not None:
+            yield self._resident_block, worlds
+            return
+        starts = worlds - worlds % self.shard_size
+        cuts = (np.flatnonzero(starts[1:] != starts[:-1]) + 1).tolist()
+        cuts = [0, *cuts, worlds.size]
+        for begin, end in zip(cuts, cuts[1:]):
+            start = int(starts[begin])
+            yield self._block(start), worlds[begin:end] - start
 
     def _interpreted_world_instrumented(
         self, world_index: int, seed_indices: List[int], coupons: Sequence[int]
@@ -1126,16 +1164,7 @@ class CompiledCascadeEngine:
         if self.shard_size >= self.num_worlds:
             self._resident_block = self.sampler.draw_block(0, self.num_worlds)
 
-        num_nodes = compiled.num_nodes
-        if self._kernel is not None:
-            self._kernel_visited = np.zeros(num_nodes, dtype=np.int64)
-            self._kernel_stamp = 0
-            self._kernel_queue = np.empty(num_nodes, dtype=np.int32)
-            self._kernel_limited = np.empty(num_nodes, dtype=np.int32)
-            self._kernel_coupons = np.zeros(num_nodes, dtype=np.int64)
-        self._visited = [0] * num_nodes
-        self._stamp = 0
-        self._coupons = [0] * num_nodes
+        self._reset_scratch()
         return chained
 
     def close(self) -> None:

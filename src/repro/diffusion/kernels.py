@@ -32,19 +32,44 @@ queues, counts and benefits are **bit-identical** whichever path runs; the
 parity suite (``tests/properties/test_kernel_parity.py``) and the benchmark
 gates enforce that.
 
-All kernels share one calling convention (flat int arrays only, no Python
-objects in the hot path):
+Both entry points take one block of worlds and share one calling convention
+(flat int arrays only, no Python objects in the hot path):
 
 * ``targets`` — int32, the block's concatenated live-edge targets;
-* ``offsets`` — int64, per-world rows of ``num_nodes + 1`` *absolute*
-  indices into ``targets`` (a 2-D array for block kernels, one row for the
-  single-world instrumented kernel);
+* ``offsets`` — int64, the block's ``(count, num_nodes + 1)`` rows of
+  *absolute* indices into ``targets``;
 * ``seeds`` — int32 deduplicated seed indices in canonical order;
 * ``coupons`` — int64 dense per-node coupon vector;
-* ``visited`` — int64 stamp-versioned scratch (caller owns the stamp);
-* ``queue`` / ``limited`` — int32 preallocated FIFO / limited-flag buffers
-  of ``num_nodes`` entries;
-* ``counts`` — int64 activation-count accumulator (block kernel only).
+* ``visited`` — int64 stamp-versioned scratch of ``num_nodes`` entries; world
+  ``i`` of a call writes stamp ``stamp + i + 1`` (the caller owns the stamp);
+* ``queue`` — int32 buffer: the block kernel's FIFO scratch of ``num_nodes``
+  entries, the instrumented kernel's activation-queue output.
+
+The block kernel cascades every world of the block and adds each world's
+activations to ``counts`` (int64, ``num_nodes``).  The instrumented kernel is
+batched over the worlds the delta engine re-simulates:
+
+* ``slots`` — int64 rows of ``offsets`` to cascade, in the caller's order
+  (any order, repeats allowed);
+* ``queue`` / ``limited`` — int32 output buffers of one capacity, receiving
+  every world's activation queue / coupon-limited list back to back;
+* ``ends`` — int64 ``(len(slots), 2)``: per world, the end of its queue in
+  ``queue`` and of its limited list in ``limited``.
+
+A world activates at most ``min(num_nodes, len(seeds) + its live edges)``
+nodes and its limited list is no longer than its queue, so the instrumented
+kernel stops before a world that might not fit and returns how many worlds it
+finished; the caller drains them, grows the buffers and calls again for the
+rest (a capacity of ``num_nodes`` always fits one world).  One call serves a
+whole run of worlds because a ctypes call costs microseconds while a world's
+cascade often costs less: on PPGG graphs of 400–2000 nodes at tight budgets
+(200 worlds, 2-core box, ``cc`` backend) a snapshot pass takes 0.09–0.19 ms,
+against 0.12–0.24 ms for the interpreted loop and 6.8–9.7 ms for one kernel
+call per world.
+
+The C backend passes raw addresses, taken once per buffer (see
+:func:`_address_memo`) instead of an ``ndpointer`` conversion per array per
+call.
 """
 
 from __future__ import annotations
@@ -56,6 +81,7 @@ import os
 import subprocess
 import tempfile
 import time
+import weakref
 from pathlib import Path
 from typing import Optional, Tuple
 
@@ -126,49 +152,63 @@ int64_t repro_cascade_block(
     return stamp;
 }
 
-void repro_cascade_world_instrumented(
+int64_t repro_cascade_worlds_instrumented(
     const int32_t *targets,
-    const int64_t *off,          /* one world's num_nodes + 1 row, absolute */
+    const int64_t *offsets,      /* block rows: count x (num_nodes + 1), absolute */
+    int64_t num_nodes,
+    const int64_t *slots,        /* rows to cascade, in order */
+    int64_t num_slots,
     const int32_t *seeds,
     int64_t num_seeds,
     const int64_t *coupons,
     int64_t *visited,
     int64_t stamp,
-    int32_t *queue,
-    int32_t *limited,
-    int64_t *out_lens)           /* [queue length, limited length] */
+    int32_t *queue,              /* every world's queue, back to back */
+    int32_t *limited,            /* every world's limited list, back to back */
+    int64_t capacity,            /* entries of queue and of limited */
+    int64_t *ends)               /* num_slots x 2: [queue end, limited end] */
 {
+    const int64_t stride = num_nodes + 1;
     int64_t qlen = 0;
     int64_t llen = 0;
-    for (int64_t s = 0; s < num_seeds; ++s) {
-        const int32_t seed = seeds[s];
-        visited[seed] = stamp;
-        queue[qlen++] = seed;
-    }
-    int64_t head = 0;
-    while (head < qlen) {
-        const int32_t user = queue[head++];
-        int64_t remaining = coupons[user];
-        const int64_t low = off[user];
-        const int64_t high = off[user + 1];
-        if (remaining <= 0) {
-            if (low < high) limited[llen++] = user;
-            continue;
+    for (int64_t i = 0; i < num_slots; ++i) {
+        const int64_t *off = offsets + slots[i] * stride;
+        int64_t bound = num_seeds + (off[num_nodes] - off[0]);
+        if (bound > num_nodes) bound = num_nodes;
+        /* llen <= qlen, so one check covers both buffers. */
+        if (qlen + bound > capacity) return i;
+        stamp += 1;
+        int64_t head = qlen;
+        for (int64_t s = 0; s < num_seeds; ++s) {
+            const int32_t seed = seeds[s];
+            visited[seed] = stamp;
+            queue[qlen++] = seed;
         }
-        if (low == high) continue;
-        for (int64_t pos = low; pos < high; ++pos) {
-            const int32_t neighbor = targets[pos];
-            if (visited[neighbor] == stamp) continue;
-            visited[neighbor] = stamp;
-            queue[qlen++] = neighbor;
-            if (--remaining <= 0) {
-                if (pos < high - 1) limited[llen++] = user;
-                break;
+        while (head < qlen) {
+            const int32_t user = queue[head++];
+            int64_t remaining = coupons[user];
+            const int64_t low = off[user];
+            const int64_t high = off[user + 1];
+            if (remaining <= 0) {
+                if (low < high) limited[llen++] = user;
+                continue;
+            }
+            if (low == high) continue;
+            for (int64_t pos = low; pos < high; ++pos) {
+                const int32_t neighbor = targets[pos];
+                if (visited[neighbor] == stamp) continue;
+                visited[neighbor] = stamp;
+                queue[qlen++] = neighbor;
+                if (--remaining <= 0) {
+                    if (pos < high - 1) limited[llen++] = user;
+                    break;
+                }
             }
         }
+        ends[2 * i] = qlen;
+        ends[2 * i + 1] = llen;
     }
-    out_lens[0] = qlen;
-    out_lens[1] = llen;
+    return num_slots;
 }
 """
 
@@ -223,46 +263,57 @@ def _make_numba_kernels():
         return stamp
 
     @njit(cache=True, nogil=True)
-    def cascade_world_instrumented_njit(
-        targets, off, seeds, coupons, visited, stamp, queue, limited
+    def cascade_worlds_instrumented_njit(
+        targets, offsets, slots, seeds, coupons, visited, stamp, queue, limited, ends
     ):
+        num_nodes = offsets.shape[1] - 1
+        num_seeds = seeds.shape[0]
+        capacity = min(queue.shape[0], limited.shape[0])
         qlen = 0
         llen = 0
-        for s in range(seeds.shape[0]):
-            seed = seeds[s]
-            visited[seed] = stamp
-            queue[qlen] = seed
-            qlen += 1
-        head = 0
-        while head < qlen:
-            user = queue[head]
-            head += 1
-            remaining = coupons[user]
-            low = off[user]
-            high = off[user + 1]
-            if remaining <= 0:
-                if low < high:
-                    limited[llen] = user
-                    llen += 1
-                continue
-            if low == high:
-                continue
-            for pos in range(low, high):
-                neighbor = targets[pos]
-                if visited[neighbor] == stamp:
-                    continue
-                visited[neighbor] = stamp
-                queue[qlen] = neighbor
+        for i in range(slots.shape[0]):
+            off = offsets[slots[i]]
+            bound = min(num_seeds + (off[num_nodes] - off[0]), num_nodes)
+            if qlen + bound > capacity:
+                return i
+            stamp += 1
+            head = qlen
+            for s in range(num_seeds):
+                seed = seeds[s]
+                visited[seed] = stamp
+                queue[qlen] = seed
                 qlen += 1
-                remaining -= 1
+            while head < qlen:
+                user = queue[head]
+                head += 1
+                remaining = coupons[user]
+                low = off[user]
+                high = off[user + 1]
                 if remaining <= 0:
-                    if pos < high - 1:
+                    if low < high:
                         limited[llen] = user
                         llen += 1
-                    break
-        return qlen, llen
+                    continue
+                if low == high:
+                    continue
+                for pos in range(low, high):
+                    neighbor = targets[pos]
+                    if visited[neighbor] == stamp:
+                        continue
+                    visited[neighbor] = stamp
+                    queue[qlen] = neighbor
+                    qlen += 1
+                    remaining -= 1
+                    if remaining <= 0:
+                        if pos < high - 1:
+                            limited[llen] = user
+                            llen += 1
+                        break
+            ends[i, 0] = qlen
+            ends[i, 1] = llen
+        return slots.shape[0]
 
-    return cascade_block_njit, cascade_world_instrumented_njit
+    return cascade_block_njit, cascade_worlds_instrumented_njit
 
 
 def _cache_dir() -> Path:
@@ -335,8 +386,9 @@ class CascadeKernel:
     """One resolved native backend: compiled cascade entry points + warm-up.
 
     Instances are produced by :func:`load_kernel` (one per process) and are
-    shared by every engine and worker in the process; the entry points are
-    stateless, so sharing is safe.
+    shared by every engine and worker in the process; the entry points keep
+    no state between calls but the C backend's address memo, whose entries
+    are replaced whole, so sharing is safe.
     """
 
     def __init__(self, backend: str, block_fn, instrumented_fn) -> None:
@@ -377,25 +429,37 @@ class CascadeKernel:
     def cascade_world_instrumented(
         self,
         targets: np.ndarray,
-        offsets_row: np.ndarray,
+        offsets: np.ndarray,
+        slots: np.ndarray,
         seeds: np.ndarray,
         coupons: np.ndarray,
         visited: np.ndarray,
         stamp: int,
         queue: np.ndarray,
         limited: np.ndarray,
-    ) -> Tuple[int, int]:
-        """One world's instrumented cascade into ``queue`` / ``limited``.
+        ends: np.ndarray,
+    ) -> int:
+        """Instrumented cascades of the block's worlds ``slots``, back to back.
 
-        Returns ``(queue_length, limited_length)``; the filled prefixes hold
-        exactly what the interpreted
+        World ``i`` of ``slots`` writes its activation queue and its
+        coupon-limited list into ``queue`` / ``limited`` where world
+        ``i - 1``'s ended, up to ``ends[i]`` — exactly, and in the same
+        order, what the interpreted
         :meth:`~repro.diffusion.engine.CompiledCascadeEngine.cascade_world_instrumented`
-        would have produced, in the same order.
+        produces.  Stops before a world that might not fit and returns how
+        many worlds it finished.  ``slots`` must index rows of ``offsets``.
         """
-        qlen, llen = self._instrumented_fn(
-            targets, offsets_row, seeds, coupons, visited, stamp, queue, limited
+        if ends.shape[0] < slots.shape[0]:
+            raise ValueError(
+                f"ends holds {ends.shape[0]} worlds, the call asks for "
+                f"{slots.shape[0]}"
+            )
+        return int(
+            self._instrumented_fn(
+                targets, offsets, slots, seeds, coupons, visited, stamp,
+                queue, limited, ends,
+            )
         )
-        return int(qlen), int(llen)
 
     # -- warm-up -------------------------------------------------------
 
@@ -422,7 +486,8 @@ class CascadeKernel:
             targets, offsets, seeds, coupons, visited, 0, queue, counts
         )
         self.cascade_world_instrumented(
-            targets, offsets[0], seeds, coupons, visited, stamp + 1, queue, limited
+            targets, offsets, np.zeros(1, dtype=np.int64), seeds, coupons,
+            visited, stamp, queue, limited, np.zeros((1, 2), dtype=np.int64),
         )
         elapsed = time.perf_counter() - began
         self._warmed = True
@@ -430,43 +495,77 @@ class CascadeKernel:
         return elapsed
 
 
+def _address_memo(*dtypes):
+    """Raw addresses of one entry point's array arguments, once per buffer.
+
+    Each argument position remembers, weakly, the last array it was given
+    and that array's address.  A call repeating the array pays one identity
+    test; a new array is first checked for the position's dtype and
+    C-contiguity, the check an ``ndpointer`` argtype makes on every call.
+    A remembered array must not be resized in place.
+    """
+    memo = [None] * len(dtypes)
+
+    def address(position: int, array: np.ndarray) -> int:
+        entry = memo[position]
+        if entry is not None and entry[0]() is array:
+            return entry[1]
+        dtype = dtypes[position]
+        if array.dtype != dtype or not array.flags.c_contiguous:
+            raise TypeError(
+                f"cascade kernel argument {position} must be a C-contiguous "
+                f"{np.dtype(dtype).name} array, got {array.dtype.name} "
+                f"(C-contiguous: {array.flags.c_contiguous})"
+            )
+        found = array.ctypes.data
+        memo[position] = (weakref.ref(array), found)
+        return found
+
+    return address
+
+
 def _make_cc_kernel() -> Optional[CascadeKernel]:
     library, compile_seconds = _build_cc_library()
     if library is None:
         return None
-    from numpy.ctypeslib import ndpointer
-
-    i32 = ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
-    i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+    i32, i64 = np.int32, np.int64
     c_i64 = ctypes.c_int64
-
-    library.repro_cascade_block.argtypes = [
-        i32, i64, c_i64, c_i64, i32, c_i64, i64, i64, c_i64, i32, i64,
-    ]
-    library.repro_cascade_block.restype = c_i64
-    library.repro_cascade_world_instrumented.argtypes = [
-        i32, i64, i32, c_i64, i64, i64, c_i64, i32, i32, i64,
-    ]
-    library.repro_cascade_world_instrumented.restype = None
+    ptr = ctypes.c_void_p
 
     block_raw = library.repro_cascade_block
-    instrumented_raw = library.repro_cascade_world_instrumented
+    block_raw.argtypes = [
+        ptr, ptr, c_i64, c_i64, ptr, c_i64, ptr, ptr, c_i64, ptr, ptr,
+    ]
+    block_raw.restype = c_i64
+    instrumented_raw = library.repro_cascade_worlds_instrumented
+    instrumented_raw.argtypes = [
+        ptr, ptr, c_i64, ptr, c_i64, ptr, c_i64, ptr, ptr, c_i64, ptr, ptr,
+        c_i64, ptr,
+    ]
+    instrumented_raw.restype = c_i64
+
+    block_at = _address_memo(i32, i64, i32, i64, i64, i32, i64)
+    instrumented_at = _address_memo(i32, i64, i64, i32, i64, i64, i32, i32, i64)
 
     def block_fn(targets, offsets, seeds, coupons, visited, stamp, queue, counts):
+        at = block_at
         return block_raw(
-            targets, offsets, offsets.shape[1] - 1, offsets.shape[0],
-            seeds, seeds.shape[0], coupons, visited, stamp, queue, counts,
+            at(0, targets), at(1, offsets), offsets.shape[1] - 1,
+            offsets.shape[0], at(2, seeds), seeds.shape[0], at(3, coupons),
+            at(4, visited), stamp, at(5, queue), at(6, counts),
         )
 
     def instrumented_fn(
-        targets, offsets_row, seeds, coupons, visited, stamp, queue, limited
+        targets, offsets, slots, seeds, coupons, visited, stamp, queue, limited,
+        ends,
     ):
-        out_lens = np.zeros(2, dtype=np.int64)
-        instrumented_raw(
-            targets, offsets_row, seeds, seeds.shape[0],
-            coupons, visited, stamp, queue, limited, out_lens,
+        at = instrumented_at
+        return instrumented_raw(
+            at(0, targets), at(1, offsets), offsets.shape[1] - 1,
+            at(2, slots), slots.shape[0], at(3, seeds), seeds.shape[0],
+            at(4, coupons), at(5, visited), stamp, at(6, queue),
+            at(7, limited), min(queue.shape[0], limited.shape[0]), at(8, ends),
         )
-        return out_lens[0], out_lens[1]
 
     kernel = CascadeKernel("cc", block_fn, instrumented_fn)
     kernel.compile_seconds = compile_seconds

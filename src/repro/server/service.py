@@ -248,6 +248,14 @@ class CampaignService:
             for node, count in extra.items():
                 new_alloc[node] = new_alloc.get(node, 0) + count
 
+            # Refuse before evaluating: a delta evaluation re-snapshots the
+            # resident estimator, and a failed request leaves it untouched.
+            budget = entry.scenario.budget_limit + request.budget_delta
+            if budget <= 0:
+                raise InvalidRequest(
+                    f"budget_delta {request.budget_delta:g} drives the budget "
+                    f"non-positive ({budget:g})"
+                )
             estimator = entry.estimator
             if extra and not drop and estimator.supports_incremental:
                 answered_by = "delta-splice"
@@ -261,12 +269,6 @@ class CampaignService:
                 answered_by = "warm-pass"
                 benefit = estimator.expected_benefit(new_seeds, new_alloc)
 
-            budget = entry.scenario.budget_limit + request.budget_delta
-            if budget <= 0:
-                raise InvalidRequest(
-                    f"budget_delta {request.budget_delta:g} drives the budget "
-                    f"non-positive ({budget:g})"
-                )
             modified = Deployment(graph, new_seeds, new_alloc)
             entry.whatifs_answered += 1
             payload = {

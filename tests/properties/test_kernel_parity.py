@@ -6,8 +6,8 @@ activation queues, same counts, same coupon-limited flags, same benefits —
 for any graph, deployment, shard size and worker count.  These tests pin
 that contract at every level the kernel dispatches through:
 
-* the engine's ``run`` and instrumented per-world cascades (hypothesis,
-  across shard sizes);
+* the engine's ``run`` and batched instrumented cascades (hypothesis,
+  across shard sizes, drawn world-index lists and outgrown output buffers);
 * the multiprocess shard executor (kernel-tagged worker tasks);
 * the delta engine's snapshot/splice paths, including a full ``S3CA.run()``
   deployment-identity check with ``snapshot_passes == 1`` still holding;
@@ -82,9 +82,16 @@ def _engine_pair(graph, seed, shard_size):
 
 @requires_native
 @settings(max_examples=10, deadline=None)
-@given(instance(), st.integers(min_value=0, max_value=2**31 - 1))
+@given(
+    instance(),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.lists(
+        st.integers(min_value=0, max_value=NUM_SAMPLES - 1),
+        max_size=3 * NUM_SAMPLES,
+    ),
+)
 @pytest.mark.parametrize("shard_size", [1, 7, NUM_SAMPLES])
-def test_kernel_run_and_instrumented_match_oracle(shard_size, data, seed):
+def test_kernel_run_and_instrumented_match_oracle(shard_size, data, seed, worlds):
     graph, seeds, allocation = data
     kernel_engine, oracle_engine = _engine_pair(graph, seed, shard_size)
     assert kernel_engine.kernel_active
@@ -100,22 +107,34 @@ def test_kernel_run_and_instrumented_match_oracle(shard_size, data, seed):
     for node, count in allocation.items():
         dense[compiled.index[node]] = count
 
-    batched = list(
-        kernel_engine.cascade_worlds_instrumented(
-            range(NUM_SAMPLES), seed_indices, dense
+    def oracle(world_indices):
+        return [
+            oracle_engine.cascade_world_instrumented(world_index, seed_indices, dense)
+            for world_index in world_indices
+        ]
+
+    # A fresh engine's output buffers hold num_nodes entries, one world's
+    # worth.  Every world of a run writes at least its seeds, so the first
+    # pass below outgrows them whenever a run spans more than num_nodes
+    # worlds: its kernel call stops early, the engine grows the buffers and
+    # a second call resumes the run.
+    capacity = kernel_engine._kernel_queue.shape[0]
+    assert capacity == compiled.num_nodes
+    # Every world in order, then a drawn index list (any order, repeats,
+    # across shards) and no world at all.
+    for world_indices in (range(NUM_SAMPLES), worlds, []):
+        batched = kernel_engine.cascade_worlds_instrumented(
+            world_indices, seed_indices, dense
         )
-    )
-    for world_index, (queue_k, limited_k) in enumerate(batched):
-        queue_o, limited_o = oracle_engine.cascade_world_instrumented(
-            world_index, seed_indices, dense
-        )
-        assert queue_k == queue_o
-        assert limited_k == limited_o
-        # The single-world entry point dispatches to the kernel too.
+        assert list(batched) == oracle(world_indices)
+        if shard_size > compiled.num_nodes:
+            assert kernel_engine._kernel_queue.shape[0] > capacity
+    # The single-world entry point is a batch of one.
+    for world_index, expected in enumerate(oracle(range(NUM_SAMPLES))):
         single = kernel_engine.cascade_world_instrumented(
             world_index, seed_indices, dense
         )
-        assert single == (queue_o, limited_o)
+        assert single == expected
 
 
 @requires_native

@@ -242,6 +242,22 @@ class TestWhatIf:
             == result["expected_benefit"]
         )
 
+    def test_refused_budget_leaves_resident_state_untouched(self, service):
+        sid, result = self._base(service)
+        estimator = service.registry.get(sid).estimator
+        passes = estimator.delta_snapshot_passes
+        budget = service.registry.get(sid).scenario.budget_limit
+        with pytest.raises(InvalidRequest) as refused:
+            service.whatif(
+                sid,
+                WhatIfRequest(
+                    extra_coupons={result["seeds"][0]: 2},
+                    budget_delta=-budget,
+                ),
+            )
+        assert refused.value.status == 422
+        assert estimator.delta_snapshot_passes == passes
+
     def test_whatif_does_not_corrupt_later_solves(self, service):
         """Delta splices advance the snapshot; solves must not notice."""
         sid, first = self._base(service)

@@ -200,7 +200,10 @@ def test_shutdown_live_pools_closes_everything():
     assert shutdown_live_pools() == 0  # idempotent
 
 
-@pytest.mark.skipif(not hasattr(__import__("signal"), "SIGINT"), reason="posix only")
+@pytest.mark.skipif(
+    not __import__("sys").platform.startswith("linux"),
+    reason="watches the CLI's pool through /proc (Linux only)",
+)
 def test_sigint_mid_solve_exits_clean(tmp_path):
     """SIGINT during a multi-worker solve: exit 130, no shm residue left.
 
@@ -232,10 +235,28 @@ def test_sigint_mid_solve_exits_clean(tmp_path):
         start_new_session=True,
         text=True,
     )
+
+    def pool_started():
+        """Whether the CLI's worker pool is up: its two forked workers, and
+        the three handler threads the pool starts after forking them."""
+        pid = process.pid
+        try:
+            with open(f"/proc/{pid}/task/{pid}/children") as handle:
+                workers = handle.read().split()
+            threads = os.listdir(f"/proc/{pid}/task")
+        except OSError:  # the CLI already exited
+            return False
+        return len(workers) >= 2 and len(threads) >= 4
+
     try:
-        # Land mid-solve: the pool is up within ~1 s and the whole solve
-        # takes ~4 s on a 2-core box, so a later signal races its exit.
-        time.sleep(2.5)
+        # Interrupt the solve once its pool is up, however fast the machine.
+        # Not earlier: a SIGINT landing in the interpreter's at-fork handlers
+        # is reported as "Exception ignored" and the solve runs on.
+        deadline = time.monotonic() + 30
+        while not pool_started() and process.poll() is None:
+            if time.monotonic() > deadline:
+                pytest.fail("the CLI's worker pool did not start within 30s")
+            time.sleep(0.02)
         if process.poll() is not None:  # pragma: no cover - solve too fast
             pytest.skip("solve finished before the interrupt could land")
         process.send_signal(signal.SIGINT)
