@@ -252,7 +252,7 @@ def test_greedy_incremental_speedup(report):
     )
 
 
-def _uncapped_id_phase(scenario, method, **estimator_kwargs):
+def _uncapped_id_phase(scenario, method, use_kernel=False, **estimator_kwargs):
     """ID phase over the *uncapped* pivot queue (every affordable user is
     priced, the paper's pseudo-code lines 1-8), timing estimator setup and
     the phase run separately."""
@@ -263,7 +263,7 @@ def _uncapped_id_phase(scenario, method, **estimator_kwargs):
             num_samples=NUM_SAMPLES,
             seed=BENCH_SEED,
             incremental=True,
-            use_kernel=False,
+            use_kernel=use_kernel,
             **estimator_kwargs,
         )
     phase = InvestmentDeployment(
@@ -289,23 +289,34 @@ def test_greedy_tiered_screening_speedup(report):
     only the frontier is MC-confirmed; both legs must still select the
     bit-identical deployment.  Sketch sampling happens at estimator setup
     (resident/amortized in the campaign server) and is recorded separately.
+
+    Both legs also run once more with the kernel on (``use_kernel=None``, the
+    default), and their estimator setup plus ID phase is recorded as each
+    leg's total: the number behind "tiered total <= untiered total".  It is
+    recorded, not gated.
     """
     size = SIZES[-1]
     scenario = synthetic_scenario(size, budget=size / 4.0, seed=BENCH_SEED)
+    tier_knobs = {"tier_epsilon": TIER_EPSILON, "tier_top_k": TIER_TOPK}
     untiered_result, untiered_seconds, _, _ = _uncapped_id_phase(
         scenario, "mc-compiled"
     )
     tiered_result, tiered_seconds, tiered_setup, tiered_est = _uncapped_id_phase(
-        scenario, "tiered", tier_epsilon=TIER_EPSILON, tier_top_k=TIER_TOPK
+        scenario, "tiered", **tier_knobs
+    )
+    untiered_kernel, untiered_kernel_seconds, untiered_kernel_setup, _ = (
+        _uncapped_id_phase(scenario, "mc-compiled", use_kernel=None)
+    )
+    tiered_kernel, tiered_kernel_seconds, tiered_kernel_setup, _ = (
+        _uncapped_id_phase(scenario, "tiered", use_kernel=None, **tier_knobs)
     )
 
-    # Screening must not change what the greedy selects — ever.
-    assert untiered_result.deployment.seeds == tiered_result.deployment.seeds
-    assert (
-        untiered_result.deployment.allocation
-        == tiered_result.deployment.allocation
-    )
-    assert untiered_result.iterations == tiered_result.iterations
+    # Screening must not change what the greedy selects — ever, and neither
+    # may the kernel.
+    for result in (tiered_result, untiered_kernel, tiered_kernel):
+        assert untiered_result.deployment.seeds == result.deployment.seeds
+        assert untiered_result.deployment.allocation == result.deployment.allocation
+        assert untiered_result.iterations == result.iterations
 
     stats = tiered_est.tier_stats
     assert stats["screening_batches"] >= 1
@@ -321,6 +332,12 @@ def test_greedy_tiered_screening_speedup(report):
         "tiered_seconds": round(tiered_seconds, 4),
         "speedup": round(speedup, 2),
         "sketch_setup_seconds": round(tiered_setup, 4),
+        "untiered_total_kernel_seconds": round(
+            untiered_kernel_setup + untiered_kernel_seconds, 4
+        ),
+        "tiered_total_kernel_seconds": round(
+            tiered_kernel_setup + tiered_kernel_seconds, 4
+        ),
         "screened": stats["screened_candidates"],
         "confirmed": stats["confirmed_candidates"],
         "screened_out": stats["screened_out_candidates"],

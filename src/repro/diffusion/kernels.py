@@ -6,7 +6,8 @@ live adjacency, redeeming on not-yet-active targets until the coupons run out
 delta snapshot engine, the CELF queue, the shard pool, the batched evaluation
 scheduler) ultimately funnels into it once per world per evaluation.  This
 module provides *compiled* implementations of that loop operating on the flat
-contiguous arrays of :class:`~repro.diffusion.engine.FlatWorldBlock`:
+contiguous arrays of :class:`~repro.diffusion.engine.FlatWorldBlock`, and of
+the RR-sketch sampler's reverse BFS (see the end of this docstring):
 
 ``numba``
     :func:`numba.njit`-compiled kernels, used whenever numba is importable.
@@ -21,9 +22,9 @@ contiguous arrays of :class:`~repro.diffusion.engine.FlatWorldBlock`:
     the common case in slim containers.
 ``None``
     Neither backend available (or ``REPRO_NO_NATIVE_KERNEL`` set): callers
-    fall back to the interpreted loops in :mod:`repro.diffusion.engine`,
-    which remain the bit-identity *oracle* the compiled kernels are tested
-    against.
+    fall back to the interpreted loops in :mod:`repro.diffusion.engine`
+    (and the RR sampler to its numpy loop), which remain the bit-identity
+    *oracle* the compiled kernels are tested against.
 
 Both backends implement the exact semantics of the interpreted
 ``cascade_block`` / ``cascade_world_instrumented`` pair — same FIFO order,
@@ -32,8 +33,8 @@ queues, counts and benefits are **bit-identical** whichever path runs; the
 parity suite (``tests/properties/test_kernel_parity.py``) and the benchmark
 gates enforce that.
 
-Both entry points take one block of worlds and share one calling convention
-(flat int arrays only, no Python objects in the hot path):
+The two cascade entry points take one block of worlds and share one calling
+convention (flat int arrays only, no Python objects in the hot path):
 
 * ``targets`` — int32, the block's concatenated live-edge targets;
 * ``offsets`` — int64, the block's ``(count, num_nodes + 1)`` rows of
@@ -70,6 +71,25 @@ call per world.
 The C backend passes raw addresses, taken once per buffer (see
 :func:`_address_memo`) instead of an ``ndpointer`` conversion per array per
 call.
+
+A third entry, :meth:`CascadeKernel.sample_rr_sets`, samples every
+reverse-reachable set of an RR sketch (:mod:`repro.diffusion.rr_sets`) in
+one call over the sampler's reverse CSR, drawing from the sampler's own
+``numpy.random.Generator``.  It draws exactly what the dict-adjacency oracle
+draws, in the same order: per set, the target as ``integers(0, n)``, which
+is numpy's bounded 32-bit draw (Lemire's, on ``next_uint32``, rejection
+loop included; nothing is drawn when ``n == 1``); then, per BFS-popped node,
+one ``next_double`` per in-neighbour not yet in the set, in reverse-CSR
+order, accepted when below the edge's probability.  The C backend calls the
+generator's ``bitgen_t`` functions (``rng.bit_generator.ctypes.bit_generator``)
+with numpy's algorithm for the target, and the numba twin calls the
+generator's own ``integers`` and ``random``, which numba runs with numpy's
+algorithms on the same bit generator.  Either way the call holds
+``rng.bit_generator.lock``, and the roots, the sets and the generator's later
+stream equal the oracle's.  Sets go back to back into a caller-owned int64
+buffer; as a set has at most ``num_nodes`` members and an unstarted set has
+drawn nothing, the entry stops before a set that might not fit and returns
+how many it finished, and the caller grows the buffer and resumes.
 """
 
 from __future__ import annotations
@@ -100,10 +120,14 @@ DISABLE_ENV = "REPRO_NO_NATIVE_KERNEL"
 #: Override for where the C backend caches its compiled shared library.
 CACHE_DIR_ENV = "REPRO_KERNEL_CACHE_DIR"
 
+#: Largest graph the sketch kernel samples: numpy draws ``integers(0, n)``
+#: with its bounded 32-bit algorithm only up to here.
+MAX_SKETCH_NODES = 0xFFFFFFFF
+
 _C_SOURCE = r"""
 #include <stdint.h>
 
-/* Both functions are line-for-line translations of the interpreted
+/* The two cascade functions are line-for-line translations of the interpreted
  * cascade loops in repro/diffusion/engine.py (cascade_block and
  * CompiledCascadeEngine.cascade_world_instrumented).  Any semantic change
  * there must be mirrored here and in the numba kernels — the parity suite
@@ -210,6 +234,79 @@ int64_t repro_cascade_worlds_instrumented(
     }
     return num_slots;
 }
+
+/* numpy's bitgen_t (numpy/random/bitgen.h), the struct a Generator's
+ * bit_generator.ctypes.bit_generator points at. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *state);
+    uint32_t (*next_uint32)(void *state);
+    double (*next_double)(void *state);
+    uint64_t (*next_raw)(void *state);
+} repro_bitgen_t;
+
+/* Generator.integers(0, rng + 1) for rng < 0xFFFFFFFF: numpy's
+ * buffered_bounded_lemire_uint32, rejection loop included. */
+static uint32_t repro_bounded_uint32(repro_bitgen_t *bitgen, uint32_t rng)
+{
+    const uint32_t rng_excl = rng + 1;
+    uint64_t m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bitgen->next_uint32(bitgen->state) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (uint32_t)(m >> 32);
+}
+
+/* Line-for-line the dict-adjacency reverse BFS of repro/diffusion/rr_sets.py
+ * (RRSetSampler._sample_one_dict), drawing the same numbers in the same
+ * order: one target per set, then one coin per not-yet-visited in-neighbour
+ * in reverse-CSR order. */
+int64_t repro_sample_rr_sets(
+    const int64_t *rin_offsets,  /* num_nodes + 1 */
+    const int64_t *rin_sources,  /* each node's in-neighbours, in order */
+    const double *rin_probs,     /* their edge probabilities */
+    int64_t num_nodes,           /* 1 .. 0xFFFFFFFF */
+    repro_bitgen_t *bitgen,
+    int64_t first,               /* first set to sample */
+    int64_t num_sets,
+    int64_t *root_index,         /* num_sets */
+    int64_t *rr_offsets,         /* num_sets + 1; set first starts at rr_offsets[first] */
+    int64_t *flat,               /* every set's members, back to back */
+    int64_t capacity,            /* entries of flat */
+    int64_t *stamp)              /* num_nodes; set s marks its members with s */
+{
+    int64_t tail = rr_offsets[first];
+    for (int64_t set_id = first; set_id < num_sets; ++set_id) {
+        /* A set has at most num_nodes members; stop before drawing. */
+        if (tail + num_nodes > capacity) return set_id - first;
+        const int64_t target = num_nodes > 1
+            ? (int64_t)repro_bounded_uint32(bitgen, (uint32_t)(num_nodes - 1))
+            : 0;
+        root_index[set_id] = target;
+        stamp[target] = set_id;
+        int64_t head = tail;
+        flat[tail++] = target;
+        while (head < tail) {
+            const int64_t node = flat[head++];
+            const int64_t high = rin_offsets[node + 1];
+            for (int64_t pos = rin_offsets[node]; pos < high; ++pos) {
+                const int64_t source = rin_sources[pos];
+                if (stamp[source] == set_id) continue;
+                if (bitgen->next_double(bitgen->state) < rin_probs[pos]) {
+                    stamp[source] = set_id;
+                    flat[tail++] = source;
+                }
+            }
+        }
+        rr_offsets[set_id + 1] = tail;
+    }
+    return num_sets - first;
+}
 """
 
 
@@ -221,7 +318,7 @@ def _import_numba():
 
 
 def _make_numba_kernels():
-    """Build the ``@njit`` kernel pair; raises when numba is unusable."""
+    """Build the three ``@njit`` kernels; raises when numba is unusable."""
     numba = _import_numba()
     njit = numba.njit
 
@@ -313,7 +410,40 @@ def _make_numba_kernels():
             ends[i, 1] = llen
         return slots.shape[0]
 
-    return cascade_block_njit, cascade_worlds_instrumented_njit
+    @njit(cache=True, nogil=True)
+    def sample_rr_sets_njit(
+        rin_offsets, rin_sources, rin_probs, rng, first, root_index, rr_offsets,
+        flat, stamp,
+    ):
+        # numba runs the Generator's own integers/random on its bit
+        # generator, with numpy's algorithms.
+        num_nodes = rin_offsets.shape[0] - 1
+        num_sets = root_index.shape[0]
+        tail = rr_offsets[first]
+        for set_id in range(first, num_sets):
+            if tail + num_nodes > flat.shape[0]:
+                return set_id - first
+            target = rng.integers(0, num_nodes)
+            root_index[set_id] = target
+            stamp[target] = set_id
+            head = tail
+            flat[tail] = target
+            tail += 1
+            while head < tail:
+                node = flat[head]
+                head += 1
+                for pos in range(rin_offsets[node], rin_offsets[node + 1]):
+                    source = rin_sources[pos]
+                    if stamp[source] == set_id:
+                        continue
+                    if rng.random() < rin_probs[pos]:
+                        stamp[source] = set_id
+                        flat[tail] = source
+                        tail += 1
+            rr_offsets[set_id + 1] = tail
+        return num_sets - first
+
+    return cascade_block_njit, cascade_worlds_instrumented_njit, sample_rr_sets_njit
 
 
 def _cache_dir() -> Path:
@@ -383,7 +513,7 @@ def _build_cc_library() -> Tuple[Optional[ctypes.CDLL], float]:
 
 
 class CascadeKernel:
-    """One resolved native backend: compiled cascade entry points + warm-up.
+    """One resolved native backend: compiled entry points + warm-up.
 
     Instances are produced by :func:`load_kernel` (one per process) and are
     shared by every engine and worker in the process; the entry points keep
@@ -391,10 +521,11 @@ class CascadeKernel:
     are replaced whole, so sharing is safe.
     """
 
-    def __init__(self, backend: str, block_fn, instrumented_fn) -> None:
+    def __init__(self, backend: str, block_fn, instrumented_fn, rr_fn) -> None:
         self.backend = backend
         self._block_fn = block_fn
         self._instrumented_fn = instrumented_fn
+        self._rr_fn = rr_fn
         self._warmed = False
         #: Wall-clock seconds the one-off warm-up (JIT compilation for the
         #: numba backend, shared-library compilation for the C backend)
@@ -461,10 +592,61 @@ class CascadeKernel:
             )
         )
 
+    def sample_rr_sets(
+        self,
+        rin_offsets: np.ndarray,
+        rin_sources: np.ndarray,
+        rin_probs: np.ndarray,
+        rng: np.random.Generator,
+        first: int,
+        root_index: np.ndarray,
+        rr_offsets: np.ndarray,
+        flat: np.ndarray,
+        stamp: np.ndarray,
+    ) -> int:
+        """Sample sets ``first, first + 1, ...`` of an RR sketch from ``rng``.
+
+        Set ``s`` reverse-BFSes from a target drawn as ``rng.integers(0, n)``
+        over the reverse CSR ``rin_offsets`` / ``rin_sources`` / ``rin_probs``,
+        writes its root to ``root_index[s]``, its members in visit order to
+        ``flat`` from ``rr_offsets[s]`` and its end to ``rr_offsets[s + 1]``,
+        and marks its members with ``s`` in ``stamp`` (``num_nodes`` entries,
+        none equal to a set id from ``first`` on).  ``rng`` ends where
+        :meth:`~repro.diffusion.rr_sets.RRSetSampler._sample_one_dict` leaves
+        it.  Stops before a set that might not fit in ``flat`` and returns how
+        many sets it finished.
+        """
+        num_nodes = rin_offsets.shape[0] - 1
+        if (
+            rin_probs.shape != rin_sources.shape
+            or rin_offsets[-1] > rin_sources.shape[0]
+        ):
+            raise ValueError("reverse CSR offsets, sources and probabilities disagree")
+        if num_nodes > MAX_SKETCH_NODES:
+            raise ValueError(
+                f"{num_nodes} nodes exceed the sketch kernel's 32-bit target "
+                f"draw (at most {MAX_SKETCH_NODES})"
+            )
+        num_sets = root_index.shape[0]
+        if rr_offsets.shape[0] != num_sets + 1 or not 0 <= first <= num_sets:
+            raise ValueError(
+                f"rr_offsets holds {rr_offsets.shape[0]} entries for {num_sets} "
+                f"sets, resuming at set {first}"
+            )
+        if stamp.shape[0] != num_nodes:
+            raise ValueError(f"stamp holds {stamp.shape[0]} of {num_nodes} nodes")
+        with rng.bit_generator.lock:
+            return int(
+                self._rr_fn(
+                    rin_offsets, rin_sources, rin_probs, rng, first, root_index,
+                    rr_offsets, flat, stamp,
+                )
+            )
+
     # -- warm-up -------------------------------------------------------
 
     def warm(self) -> float:
-        """Compile/trigger both entry points on a one-world dummy block.
+        """Compile/trigger both cascade entry points on a one-world dummy block.
 
         Engines call this at construction so the JIT cost lands before any
         timed evaluation (CELF pivot-queue timings, benchmarks) instead of
@@ -543,9 +725,15 @@ def _make_cc_kernel() -> Optional[CascadeKernel]:
         c_i64, ptr,
     ]
     instrumented_raw.restype = c_i64
+    rr_raw = library.repro_sample_rr_sets
+    rr_raw.argtypes = [
+        ptr, ptr, ptr, c_i64, ptr, c_i64, c_i64, ptr, ptr, ptr, c_i64, ptr,
+    ]
+    rr_raw.restype = c_i64
 
     block_at = _address_memo(i32, i64, i32, i64, i64, i32, i64)
     instrumented_at = _address_memo(i32, i64, i64, i32, i64, i64, i32, i32, i64)
+    rr_at = _address_memo(i64, i64, np.float64, i64, i64, i64, i64)
 
     def block_fn(targets, offsets, seeds, coupons, visited, stamp, queue, counts):
         at = block_at
@@ -567,18 +755,31 @@ def _make_cc_kernel() -> Optional[CascadeKernel]:
             at(7, limited), min(queue.shape[0], limited.shape[0]), at(8, ends),
         )
 
-    kernel = CascadeKernel("cc", block_fn, instrumented_fn)
+    def rr_fn(
+        rin_offsets, rin_sources, rin_probs, rng, first, root_index, rr_offsets,
+        flat, stamp,
+    ):
+        at = rr_at
+        return rr_raw(
+            at(0, rin_offsets), at(1, rin_sources), at(2, rin_probs),
+            rin_offsets.shape[0] - 1,
+            rng.bit_generator.ctypes.bit_generator.value, first,
+            root_index.shape[0], at(3, root_index), at(4, rr_offsets),
+            at(5, flat), flat.shape[0], at(6, stamp),
+        )
+
+    kernel = CascadeKernel("cc", block_fn, instrumented_fn, rr_fn)
     kernel.compile_seconds = compile_seconds
     return kernel
 
 
 def _make_numba_kernel() -> Optional[CascadeKernel]:
     try:
-        block_fn, instrumented_fn = _make_numba_kernels()
+        kernels = _make_numba_kernels()
     except Exception as error:  # ImportError, numba config errors, ...
         logger.debug("numba cascade kernel unavailable: %s", error)
         return None
-    return CascadeKernel("numba", block_fn, instrumented_fn)
+    return CascadeKernel("numba", *kernels)
 
 
 # Per-process kernel singleton: False = unresolved, None = resolved absent.

@@ -20,15 +20,21 @@ neighbours redeemed first.
 Backends
 --------
 Sampling runs over a reverse-adjacency CSR built once per sampler
-(``backend="csr"``, the default): per BFS-popped node the in-edge slice is
-masked against a visited stamp array and the survivors' coin flips are drawn
-with one vectorized ``rng.random(k)`` call.  Because numpy's ``Generator``
-fills a size-``k`` request with exactly the ``k`` doubles that ``k`` scalar
-calls would produce, and the reverse CSR preserves each node's
-``in_neighbors`` iteration order, the CSR sampler consumes the RNG stream
-*identically* to the original dict-adjacency BFS — the sets are bit-for-bit
-equal (property-tested in ``tests/properties/test_rr_parity.py``).  The dict
-path is kept as the parity oracle (``backend="dict"``).
+(``backend="csr"``, the default), which preserves each node's
+``in_neighbors`` iteration order.  Whenever a native kernel backend resolves
+(:func:`repro.diffusion.kernels.load_kernel`), one call of its
+``sample_rr_sets`` entry samples every set, drawing from the sampler's own
+generator exactly what the dict-adjacency BFS draws: an ``integers(0, n)``
+target per set, then one double per not-yet-visited in-neighbour.  On a host
+with no native backend (``REPRO_NO_NATIVE_KERNEL`` set, or neither numba nor
+a C compiler) a numpy loop samples instead: per BFS-popped node the in-edge
+slice is masked against a visited stamp array and the survivors' coins are
+drawn with one ``rng.random(k)`` call, which numpy fills with exactly the
+``k`` doubles that ``k`` scalar calls would produce.  Both paths therefore
+consume the RNG stream *identically* to the original dict-adjacency BFS —
+the sets are bit-for-bit equal and the generator ends in the same state
+(property-tested in ``tests/properties/test_rr_parity.py``).  The dict path
+is kept as the parity oracle (``backend="dict"``).
 
 Either way the sampled sets land in flat int arrays (``rr_flat`` /
 ``rr_offsets`` / ``root_index``) plus an inverted membership CSR, so coverage
@@ -55,6 +61,7 @@ from typing import (
 import numpy as np
 
 from repro.diffusion.estimator import BenefitEstimator
+from repro.diffusion.kernels import load_kernel
 from repro.exceptions import EstimationError
 from repro.graph.social_graph import SocialGraph
 from repro.utils.indexed_heap import IndexedMaxHeap
@@ -174,15 +181,52 @@ class RRSetSampler:
             self._rin_probs = np.empty(0, dtype=np.float64)
 
     def _sample_all_csr(self) -> None:
+        """Every set over the reverse CSR: one native call, or the numpy loop.
+
+        The native entry writes into a flat buffer and stops before a set
+        that might not fit; the buffer then doubles and sampling resumes
+        where it stopped.
+        """
+        num_nodes = len(self._nodes)
+        stamp = np.full(num_nodes, -1, dtype=np.int64)
+        self.root_index = np.empty(self.num_sets, dtype=np.int64)
+        self.rr_offsets = np.zeros(self.num_sets + 1, dtype=np.int64)
+        kernel = load_kernel()
+        if kernel is None:
+            self.rr_flat = self._sample_all_numpy(stamp)
+            return
+        # Every set holds at least its root; a set that might not fit is
+        # left unstarted, so a larger buffer resumes it.
+        flat = np.empty(num_nodes + self.num_sets, dtype=np.int64)
+        done = 0
+        while True:
+            done += kernel.sample_rr_sets(
+                self._rin_offsets, self._rin_sources, self._rin_probs,
+                self._rng, done, self.root_index, self.rr_offsets, flat, stamp,
+            )
+            if done == self.num_sets:
+                break
+            used = self.rr_offsets[done]
+            grown = np.empty(max(2 * flat.shape[0], used + num_nodes), np.int64)
+            grown[:used] = flat[:used]
+            flat = grown
+        self.rr_flat = flat[: self.rr_offsets[-1]].copy()
+
+    def _sample_all_numpy(self, stamp: np.ndarray) -> np.ndarray:
+        """The interpreted sampler, for hosts without a native kernel.
+
+        Per BFS-popped node the in-edge slice is masked against ``stamp`` and
+        the survivors' coins come from one ``rng.random(k)`` call.  Fills
+        :attr:`root_index` and :attr:`rr_offsets` and returns the flat sets.
+        """
         rng = self._rng
         num_nodes = len(self._nodes)
         offsets = self._rin_offsets
         sources = self._rin_sources
         probs = self._rin_probs
-        stamp = np.full(num_nodes, -1, dtype=np.int64)
         queue = np.empty(num_nodes, dtype=np.int64)
-        root_index = np.empty(self.num_sets, dtype=np.int64)
-        rr_offsets = np.zeros(self.num_sets + 1, dtype=np.int64)
+        root_index = self.root_index
+        rr_offsets = self.rr_offsets
         chunks: List[np.ndarray] = []
         for set_id in range(self.num_sets):
             target = int(rng.integers(0, num_nodes))
@@ -210,11 +254,7 @@ class RRSetSampler:
                     tail += accepted.size
             chunks.append(queue[:tail].copy())
             rr_offsets[set_id + 1] = rr_offsets[set_id] + tail
-        self.rr_flat = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        )
-        self.rr_offsets = rr_offsets
-        self.root_index = root_index
+        return np.concatenate(chunks)
 
     def _sample_all_dict(self) -> None:
         sampled = [self._sample_one_dict() for _ in range(self.num_sets)]

@@ -121,10 +121,12 @@ def compare_with_optimal(
     The exact world-enumeration estimator is used when the instance has at
     most ``max_exact_edges`` edges (its cost is ``2^|E|`` per evaluation and
     the exhaustive oracle performs many evaluations); larger instances fall
-    back to the Monte-Carlo estimator.
+    back to the Monte-Carlo estimator, built from ``config.estimator``.  An
+    estimator built here is closed here; a caller's ``estimator`` is not.
     """
     config = config or ExperimentConfig()
-    if estimator is None:
+    built = estimator is None
+    if built:
         try:
             estimator = make_estimator(
                 scenario, "exact", max_exact_edges=max_exact_edges
@@ -135,22 +137,27 @@ def compare_with_optimal(
                 config.estimator_method,
                 num_samples=config.num_samples,
                 seed=config.seed,
+                spec=config.estimator,
             )
+    try:
+        s3ca_result = S3CA(
+            scenario,
+            estimator=estimator,
+            candidate_limit=config.candidate_limit,
+            max_pivot_candidates=config.max_pivot_candidates,
+        ).solve()
 
-    s3ca_result = S3CA(
-        scenario,
-        estimator=estimator,
-        candidate_limit=config.candidate_limit,
-        max_pivot_candidates=config.max_pivot_candidates,
-    ).solve()
-
-    optimal = ExhaustiveSearch(
-        scenario,
-        estimator=estimator,
-        max_seeds=max_seeds,
-        max_coupons_per_node=max_coupons_per_node,
-        max_total_coupons=max_total_coupons,
-    ).run()
+        optimal = ExhaustiveSearch(
+            scenario,
+            estimator=estimator,
+            max_seeds=max_seeds,
+            max_coupons_per_node=max_coupons_per_node,
+            max_total_coupons=max_total_coupons,
+        ).run()
+    finally:
+        close = getattr(estimator, "close", None) if built else None
+        if close is not None:
+            close()
 
     ratio = approximation_ratio(scenario)
     return OptimalityPoint(

@@ -1,21 +1,25 @@
 """One :class:`EstimatorSpec`, validated once and honoured on every path.
 
 A non-default spec must reach the estimator each entry point builds — the
-experiment runner, the Fig. 9 ``measure_s3ca``, the ``solve`` and ``events``
-commands, and the campaign server's resident estimator and tiered solves —
+experiment runner, the Fig. 9 ``measure_s3ca``, the Fig. 10 optimality
+comparison's Monte-Carlo fallback, the ``solve`` and ``events`` commands,
+and the campaign server's resident estimator and tiered solves —
 and every knob range check lives in the spec alone.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import repro.cli as cli_module
+import repro.experiments.approximation as approximation_module
 import repro.experiments.scalability as scalability_module
 from repro.cli import main
 from repro.diffusion.factory import EstimatorSpec, make_estimator
 from repro.diffusion.tiered import TieredEstimator
 from repro.exceptions import EstimationError
+from repro.experiments.approximation import compare_with_optimal
 from repro.experiments.config import ExperimentConfig, ServerConfig
 from repro.experiments.datasets import toy_scenario
 from repro.experiments.runner import ExperimentRunner
@@ -118,6 +122,34 @@ def test_measure_s3ca_builds_from_the_spec(built):
     measure_s3ca(synthetic_scenario(30, budget=40.0, seed=1), config)
     (estimator,) = built
     _assert_carries(estimator)
+
+
+def test_compare_with_optimal_fallback_builds_from_the_spec(monkeypatch):
+    spec = replace(SPEC, incremental=False)
+    built, closed = [], []
+
+    def recording(*args, **kwargs):
+        estimator = make_estimator(*args, **kwargs)
+        built.append(estimator)
+        monkeypatch.setattr(estimator, "close", lambda: closed.append(estimator))
+        return estimator
+
+    monkeypatch.setattr(approximation_module, "make_estimator", recording)
+    # 35 edges: past the exact estimator's cap, so the Monte-Carlo fallback.
+    scenario = synthetic_scenario(12, budget=8.0, seed=3)
+    assert scenario.num_edges == 35
+    config = ExperimentConfig(
+        num_samples=10, seed=1, candidate_limit=3, max_pivot_candidates=6,
+        estimator=spec,
+    )
+    options = {"max_seeds": 1, "max_total_coupons": 2}
+    compare_with_optimal(scenario, config=config, **options)
+    (estimator,) = built
+    _assert_carries(estimator, spec, tiered=False)
+    assert closed == [estimator]
+    # A caller's estimator is left open.
+    compare_with_optimal(scenario, config=config, estimator=estimator, **options)
+    assert closed == [estimator]
 
 
 def test_solve_command_builds_from_the_spec(built, capsys):
