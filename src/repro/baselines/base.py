@@ -124,7 +124,7 @@ class BaselineAlgorithm(ABC):
         per-pair ``expected_benefit`` calls would return, so greedy
         comparisons built on them are bit-identical.
         """
-        return self.estimator.expected_benefits(deployments)
+        return self.estimator.submit_many(deployments)
 
     def run(self) -> AlgorithmResult:
         """Run the baseline and price its deployment."""

@@ -73,14 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--kappa", type=float, default=10.0)
         sub.add_argument("--samples", type=int, default=50)
         sub.add_argument("--seed", type=int, default=2019)
-        sub.add_argument("--candidate-limit", type=int, default=8)
-        sub.add_argument("--pivot-limit", type=int, default=20)
+        sub.add_argument("--candidate-limit", type=_positive_int, default=8)
+        sub.add_argument("--pivot-limit", type=_positive_int, default=20)
         sub.add_argument(
             "--estimator", default=DEFAULT_ESTIMATOR_METHOD,
             choices=ESTIMATOR_METHODS,
-            help="benefit-estimator backend (mc-compiled is the fast CSR engine; "
-                 "mc is the reference dict path; rr ignores coupon allocations "
-                 "and is only meaningful for unlimited-coupon baselines)",
+            help="benefit estimator (mc-compiled is Monte-Carlo on the CSR "
+                 "engine; exact enumerates every world of a tiny graph; rr "
+                 "ignores coupon allocations and is only meaningful for "
+                 "unlimited-coupon baselines; tiered screens batches with an "
+                 "RR sketch before Monte-Carlo confirmation)",
         )
         sub.add_argument(
             "--no-incremental", action="store_true",
@@ -104,10 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--no-kernel", action="store_true",
             help="force the interpreted cascade loop instead of the native "
-                 "compiled kernel (numba or C backend); results are "
-                 "bit-identical either way, only slower — mainly for "
-                 "cross-checking (default: use the kernel when one is "
-                 "available, silently falling back otherwise)",
+                 "C kernel; results are bit-identical either way, only "
+                 "slower — mainly for cross-checking (default: use the "
+                 "kernel when it loads, silently falling back otherwise)",
         )
         sub.add_argument(
             "--no-shared-memory", action="store_true",
@@ -400,8 +401,8 @@ def cmd_events(args: argparse.Namespace) -> str:
     config = _config_from_args(args)
     if config.estimator_method != "mc-compiled":
         raise ReproError(
-            "the events command needs the compiled estimator "
-            "(--estimator mc-compiled); reconciliation has no dict-backend form"
+            "the events command needs the Monte-Carlo estimator "
+            "(--estimator mc-compiled); only its worlds can be reconciled"
         )
     try:
         with open(args.events_file, "r", encoding="utf-8") as handle:

@@ -241,7 +241,7 @@ class InvestmentDeployment:
         # benefit).  The prescreener prices the whole eligible set as one
         # batch through its scheduler rather than one call per node.
         if self.pivot_prescreener is not None:
-            bounds = self.pivot_prescreener.expected_benefits(
+            bounds = self.pivot_prescreener.submit_many(
                 [([node], {}) for node, _ in eligible]
             )
         else:

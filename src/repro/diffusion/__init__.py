@@ -3,16 +3,16 @@
 The diffusion subpackage implements the SC-constrained independent cascade of
 Sec. III (``sc_cascade``), the plain independent cascade it reduces to under
 the unlimited coupon strategy (``independent_cascade``), live-edge world
-realisations shared across estimator calls (``live_edge``), the Monte-Carlo
-expected-benefit estimator used by every algorithm (``monte_carlo``) with its
-two cascade backends — the dict-adjacency reference path and the compiled
-CSR + vectorized engine (``engine``) — an exact world-enumeration estimator
-for tiny graphs (``exact``) and reverse-reachable-set estimation for the
-plain-IC regime (``rr_sets``).
+realisations shared across estimator calls (``live_edge``, the dict-adjacency
+reference the faster paths are tested against), the Monte-Carlo
+expected-benefit estimator used by every algorithm (``monte_carlo``) on the
+compiled CSR + vectorized engine (``engine``), an exact world-enumeration
+estimator for tiny graphs (``exact``) and reverse-reachable-set estimation
+for the plain-IC regime (``rr_sets``).
 
 Construct estimators through :func:`make_estimator` (``factory``) rather than
 instantiating classes directly; the factory is the single switch point for
-the ``mc-compiled`` / ``mc`` / ``exact`` / ``rr`` / ``tiered`` methods, and
+the ``mc-compiled`` / ``exact`` / ``rr`` / ``tiered`` methods, and
 its :class:`EstimatorSpec` the one place their execution knobs are declared.  The
 ``tiered`` method wraps the compiled Monte-Carlo tier in a vectorized
 RR-sketch screening pass (``tiered``): every ``submit_many`` batch is scored

@@ -516,16 +516,15 @@ class CompiledCascadeEngine:
         :meth:`close` only unregisters the sampler; the pool's owner decides
         when the workers die.
     use_kernel:
-        ``None`` (default) runs the cascade inner loop on the native compiled
-        kernel (:mod:`repro.diffusion.kernels` — numba ``@njit`` when numba
-        is importable, a C-compiled fallback otherwise) whenever one is
-        available, silently falling back to the interpreted loop when
-        neither backend exists.  ``True`` asks for the kernel explicitly and
-        *warns* when it has to fall back; ``False`` forces the interpreted
-        oracle path.  Activation queues, counts and benefits are
-        bit-identical either way — only speed changes.  The JIT is warmed on
-        a one-world dummy block here at construction, so the first timed
-        evaluation never pays compilation latency;
+        ``None`` (default) runs the cascade inner loop on the native C
+        kernel (:mod:`repro.diffusion.kernels`) whenever it loads, silently
+        falling back to the interpreted loop when it does not (no C
+        compiler, or ``REPRO_NO_NATIVE_KERNEL`` set).  ``True`` asks for the
+        kernel explicitly and *warns* when it has to fall back; ``False``
+        forces the interpreted oracle path.  Activation queues, counts and
+        benefits are bit-identical either way — only speed changes.  The
+        kernel is warmed on a one-world dummy block here at construction, so
+        the first timed evaluation never pays its one-off cost;
         :attr:`kernel_compile_seconds` records what the warm-up cost.
     shared_memory:
         ``None`` (default) turns zero-copy shared-memory transport on
@@ -579,7 +578,6 @@ class CompiledCascadeEngine:
         self._start_method = start_method
 
         # Zero-copy shared-memory transport: auto-on for multiprocess runs.
-        self.shared_memory_requested = shared_memory
         share = (
             bool(shared_memory)
             if shared_memory is not None
@@ -656,23 +654,22 @@ class CompiledCascadeEngine:
 
         # Native kernel resolution: auto (None) silently falls back to the
         # interpreted loop; an explicit request (True) warns on fallback.
-        self.use_kernel_requested = use_kernel
         self._kernel = None
         self.kernel_compile_seconds = 0.0
         if use_kernel is not False:
             self._kernel = _kernels.load_kernel()
             if self._kernel is None and use_kernel is True:
                 warnings.warn(
-                    "no native cascade kernel backend is available (numba "
-                    "not importable, no C compiler); falling back to the "
+                    "the native cascade kernel is unavailable (no C compiler, "
+                    "or REPRO_NO_NATIVE_KERNEL set); falling back to the "
                     "interpreted cascade loop — results are identical, only "
                     "slower",
                     stacklevel=2,
                 )
         if self._kernel is not None:
-            # Warm the JIT on a one-world dummy block now, so the first real
-            # evaluation (CELF pivot-queue timings, benchmarks) never pays
-            # compilation latency; record what the warm-up cost.
+            # Warm the kernel on a one-world dummy block now, so the first
+            # real evaluation (CELF pivot-queue timings, benchmarks) never
+            # pays its one-off cost; record what the warm-up cost.
             self.kernel_compile_seconds = self._kernel.warm()
         self._reset_scratch()
 
@@ -716,7 +713,7 @@ class CompiledCascadeEngine:
 
     @property
     def kernel_backend(self) -> Optional[str]:
-        """Resolved native backend name (``"numba"``/``"cc"``) or ``None``."""
+        """Resolved native backend name (``"cc"``) or ``None``."""
         return self._kernel.backend if self._kernel is not None else None
 
     def world(self, world_index: int) -> WorldAdjacency:

@@ -8,12 +8,8 @@ implementations exist, selectable through
 
 ``mc-compiled``
     :class:`~repro.diffusion.monte_carlo.MonteCarloEstimator` running on the
-    compiled CSR backend (:mod:`repro.graph.csr`) with the vectorized cascade
+    compiled CSR graph (:mod:`repro.graph.csr`) with the vectorized cascade
     engine (:mod:`repro.diffusion.engine`).  The default.
-``mc``
-    The same estimator on the original dict-adjacency cascade.  Bit-for-bit
-    the same activation probabilities for a fixed seed; kept as the reference
-    implementation and for graphs mutated after estimator construction.
 ``exact``
     :class:`~repro.diffusion.exact.ExactEstimator` — world enumeration,
     tractable only for tens of edges.
@@ -21,6 +17,9 @@ implementations exist, selectable through
     :class:`~repro.diffusion.rr_sets.RRBenefitEstimator` — reverse-reachable
     set sampling; fast, but only valid for the unlimited-coupon (plain IC)
     regime.
+``tiered``
+    :class:`~repro.diffusion.tiered.TieredEstimator` — an RR-sketch screen
+    over a resident ``mc-compiled`` tier.
 
 The ABC lives in its own module so that the core, baseline and experiment
 layers can depend on the interface without importing any concrete backend.
@@ -189,12 +188,6 @@ class BenefitEstimator(ABC):
             self.expected_benefit(seeds, allocation)
             for seeds, allocation in deployments
         ]
-
-    def expected_benefits(
-        self, deployments: Sequence[DeploymentSpec]
-    ) -> List[float]:
-        """Batch form of :meth:`expected_benefit` (alias of :meth:`submit_many`)."""
-        return self.submit_many(deployments)
 
     def expected_spreads(
         self, deployments: Sequence[DeploymentSpec]

@@ -2,9 +2,8 @@
 
 The algorithms (S3CA, the baselines, the experiment runner, the CLI) never
 instantiate estimator classes directly; they ask :func:`make_estimator` for
-one by method name.  This keeps backend selection in one place, lets a single
-``--estimator`` flag reach every layer, and means new backends (sharded world
-sampling, multiprocess estimation, ...) only need to be registered here.
+one by method name.  This keeps estimator selection in one place and lets a
+single ``--estimator`` flag reach every layer.
 
 How an estimator executes — delta engine, sharding, workers, kernel,
 shared memory, screening band — is one :class:`EstimatorSpec`, declared and
@@ -12,8 +11,8 @@ validated here and carried unchanged by every layer above.
 
 >>> from repro.experiments.datasets import toy_scenario
 >>> estimator = make_estimator(toy_scenario(), "mc-compiled", num_samples=50, seed=7)
->>> estimator.backend
-'compiled'
+>>> type(estimator).__name__
+'MonteCarloEstimator'
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from repro.graph.social_graph import SocialGraph
 from repro.utils.rng import SeedLike
 
 #: Method names accepted by :func:`make_estimator`.
-ESTIMATOR_METHODS = ("mc-compiled", "mc", "exact", "rr", "tiered")
+ESTIMATOR_METHODS = ("mc-compiled", "exact", "rr", "tiered")
 
 DEFAULT_ESTIMATOR_METHOD = "mc-compiled"
 
@@ -46,7 +45,7 @@ class EstimatorSpec:
 
     Method, world count and seed stay outside the spec: they decide *what*
     is estimated.  The spec decides *how*.  Its first five fields apply to
-    the compiled Monte-Carlo backend (``"mc-compiled"`` and the MC tier of
+    the Monte-Carlo estimator (``"mc-compiled"`` and the MC tier of
     ``"tiered"``) and give bit-identical estimates for every setting; the
     tier fields apply to ``"tiered"`` only.  The other methods ignore it.
 
@@ -125,8 +124,7 @@ def make_estimator(
         A :class:`~repro.economics.scenario.Scenario` or the
         :class:`SocialGraph` itself.
     method:
-        ``"mc-compiled"`` — Monte-Carlo on the compiled CSR backend (default);
-        ``"mc"`` — Monte-Carlo on the dict-adjacency reference backend;
+        ``"mc-compiled"`` — Monte-Carlo on the compiled CSR engine (default);
         ``"exact"`` — exhaustive world enumeration (tiny graphs only);
         ``"rr"`` — reverse-reachable sets (plain-IC / unlimited-coupon regime
         only; ignores the allocation);
@@ -142,7 +140,7 @@ def make_estimator(
         so ``make_estimator(scenario, use_kernel=False)`` needs no spec.
     pool:
         Optional :class:`~repro.diffusion.parallel.SharedShardPool` shared
-        across estimators (compiled Monte-Carlo backend only).  The estimator
+        across estimators (Monte-Carlo methods only).  The estimator
         registers its worlds on the injected pool instead of creating its
         own, and never closes it — the pool's owner does.  ``spec.workers``
         is ignored when a pool is given (the pool's width wins).
@@ -159,10 +157,6 @@ def make_estimator(
         raise EstimationError(
             f"expected a Scenario or SocialGraph, got {type(scenario_or_graph)!r}"
         )
-    if method == "mc":
-        return MonteCarloEstimator(
-            graph, num_samples=num_samples, seed=seed, backend="dict"
-        )
     if method == "exact":
         return ExactEstimator(graph, max_edges=max_exact_edges)
     if method == "rr":
@@ -175,7 +169,6 @@ def make_estimator(
         graph,
         num_samples=num_samples,
         seed=seed,
-        backend="compiled",
         incremental=spec.incremental,
         shard_size=spec.shard_size,
         workers=spec.workers,

@@ -5,28 +5,20 @@ live adjacency, redeeming on not-yet-active targets until the coupons run out
 — is the single hottest code path in the library: every layer above it (the
 delta snapshot engine, the CELF queue, the shard pool, the batched evaluation
 scheduler) ultimately funnels into it once per world per evaluation.  This
-module provides *compiled* implementations of that loop operating on the flat
-contiguous arrays of :class:`~repro.diffusion.engine.FlatWorldBlock`, and of
-the RR-sketch sampler's reverse BFS (see the end of this docstring):
+module provides a *compiled* implementation of that loop operating on the
+flat contiguous arrays of :class:`~repro.diffusion.engine.FlatWorldBlock`, and
+of the RR-sketch sampler's reverse BFS (see the end of this docstring).
 
-``numba``
-    :func:`numba.njit`-compiled kernels, used whenever numba is importable.
-    The JIT is warmed on a one-world dummy block at engine construction (see
-    :meth:`CascadeKernel.warm`) so first-evaluation latency never skews CELF
-    pivot-queue timings or benchmarks.
-``cc``
-    A C translation of the same loops, compiled once with the system C
-    compiler (``cc``/``gcc``/``clang``) into a content-addressed shared
-    library under ``~/.cache/repro-kernels`` and loaded through
-    :mod:`ctypes`.  Used when numba is absent but a compiler is present —
-    the common case in slim containers.
-``None``
-    Neither backend available (or ``REPRO_NO_NATIVE_KERNEL`` set): callers
-    fall back to the interpreted loops in :mod:`repro.diffusion.engine`
-    (and the RR sampler to its numpy loop), which remain the bit-identity
-    *oracle* the compiled kernels are tested against.
+The kernel is a C translation of those loops, compiled once with the system C
+compiler (``cc``/``gcc``/``clang``) into a content-addressed shared library
+under ``~/.cache/repro-kernels`` and loaded through :mod:`ctypes`;
+:func:`load_kernel` returns it (backend ``"cc"``).  With no compiler, or with
+``REPRO_NO_NATIVE_KERNEL`` set, :func:`load_kernel` returns ``None`` and
+callers fall back to the interpreted loops in :mod:`repro.diffusion.engine`
+(and the RR sampler to its numpy loop), which remain the bit-identity
+*oracle* the kernel is tested against.
 
-Both backends implement the exact semantics of the interpreted
+The kernel implements the exact semantics of the interpreted
 ``cascade_block`` / ``cascade_world_instrumented`` pair — same FIFO order,
 same redemption bookkeeping, same coupon-limited flags — so activation
 queues, counts and benefits are **bit-identical** whichever path runs; the
@@ -68,7 +60,7 @@ cascade often costs less: on PPGG graphs of 400–2000 nodes at tight budgets
 against 0.12–0.24 ms for the interpreted loop and 6.8–9.7 ms for one kernel
 call per world.
 
-The C backend passes raw addresses, taken once per buffer (see
+Every entry passes raw addresses, taken once per buffer (see
 :func:`_address_memo`) instead of an ``ndpointer`` conversion per array per
 call.
 
@@ -80,12 +72,10 @@ draws, in the same order: per set, the target as ``integers(0, n)``, which
 is numpy's bounded 32-bit draw (Lemire's, on ``next_uint32``, rejection
 loop included; nothing is drawn when ``n == 1``); then, per BFS-popped node,
 one ``next_double`` per in-neighbour not yet in the set, in reverse-CSR
-order, accepted when below the edge's probability.  The C backend calls the
+order, accepted when below the edge's probability.  The kernel calls the
 generator's ``bitgen_t`` functions (``rng.bit_generator.ctypes.bit_generator``)
-with numpy's algorithm for the target, and the numba twin calls the
-generator's own ``integers`` and ``random``, which numba runs with numpy's
-algorithms on the same bit generator.  Either way the call holds
-``rng.bit_generator.lock``, and the roots, the sets and the generator's later
+with numpy's algorithm for the target while holding
+``rng.bit_generator.lock``, so the roots, the sets and the generator's later
 stream equal the oracle's.  Sets go back to back into a caller-owned int64
 buffer; as a set has at most ``num_nodes`` members and an unstarted set has
 drawn nothing, the entry stops before a set that might not fit and returns
@@ -111,9 +101,9 @@ from repro.utils.env import env_flag
 
 logger = logging.getLogger(__name__)
 
-#: Setting this environment variable (to any non-empty value) disables both
-#: native backends — the engine then runs the interpreted oracle.  This is
-#: how CI's "no-numba" leg and the forced-fallback tests exercise the
+#: Setting this environment variable (to a truthy value) disables the native
+#: kernel — the engine then runs the interpreted oracle.  This is how CI's
+#: "no-native-kernel" leg and the forced-fallback tests exercise the
 #: degradation path deterministically.
 DISABLE_ENV = "REPRO_NO_NATIVE_KERNEL"
 
@@ -130,8 +120,7 @@ _C_SOURCE = r"""
 /* The two cascade functions are line-for-line translations of the interpreted
  * cascade loops in repro/diffusion/engine.py (cascade_block and
  * CompiledCascadeEngine.cascade_world_instrumented).  Any semantic change
- * there must be mirrored here and in the numba kernels — the parity suite
- * fails otherwise. */
+ * there must be mirrored here — the parity suite fails otherwise. */
 
 int64_t repro_cascade_block(
     const int32_t *targets,
@@ -310,142 +299,6 @@ int64_t repro_sample_rr_sets(
 """
 
 
-def _import_numba():
-    """Import hook isolated so tests can monkeypatch an ImportError."""
-    import numba  # noqa: F401  (numba's presence is the decision)
-
-    return numba
-
-
-def _make_numba_kernels():
-    """Build the three ``@njit`` kernels; raises when numba is unusable."""
-    numba = _import_numba()
-    njit = numba.njit
-
-    @njit(cache=True, nogil=True)
-    def cascade_block_njit(
-        targets, offsets, seeds, coupons, visited, stamp, queue, counts
-    ):
-        num_worlds = offsets.shape[0]
-        for w in range(num_worlds):
-            stamp += 1
-            off = offsets[w]
-            qlen = 0
-            for s in range(seeds.shape[0]):
-                seed = seeds[s]
-                visited[seed] = stamp
-                queue[qlen] = seed
-                qlen += 1
-            head = 0
-            while head < qlen:
-                user = queue[head]
-                head += 1
-                remaining = coupons[user]
-                if remaining <= 0:
-                    continue
-                low = off[user]
-                high = off[user + 1]
-                for pos in range(low, high):
-                    neighbor = targets[pos]
-                    if visited[neighbor] == stamp:
-                        continue
-                    visited[neighbor] = stamp
-                    queue[qlen] = neighbor
-                    qlen += 1
-                    remaining -= 1
-                    if remaining <= 0:
-                        break
-            for q in range(qlen):
-                counts[queue[q]] += 1
-        return stamp
-
-    @njit(cache=True, nogil=True)
-    def cascade_worlds_instrumented_njit(
-        targets, offsets, slots, seeds, coupons, visited, stamp, queue, limited, ends
-    ):
-        num_nodes = offsets.shape[1] - 1
-        num_seeds = seeds.shape[0]
-        capacity = min(queue.shape[0], limited.shape[0])
-        qlen = 0
-        llen = 0
-        for i in range(slots.shape[0]):
-            off = offsets[slots[i]]
-            bound = min(num_seeds + (off[num_nodes] - off[0]), num_nodes)
-            if qlen + bound > capacity:
-                return i
-            stamp += 1
-            head = qlen
-            for s in range(num_seeds):
-                seed = seeds[s]
-                visited[seed] = stamp
-                queue[qlen] = seed
-                qlen += 1
-            while head < qlen:
-                user = queue[head]
-                head += 1
-                remaining = coupons[user]
-                low = off[user]
-                high = off[user + 1]
-                if remaining <= 0:
-                    if low < high:
-                        limited[llen] = user
-                        llen += 1
-                    continue
-                if low == high:
-                    continue
-                for pos in range(low, high):
-                    neighbor = targets[pos]
-                    if visited[neighbor] == stamp:
-                        continue
-                    visited[neighbor] = stamp
-                    queue[qlen] = neighbor
-                    qlen += 1
-                    remaining -= 1
-                    if remaining <= 0:
-                        if pos < high - 1:
-                            limited[llen] = user
-                            llen += 1
-                        break
-            ends[i, 0] = qlen
-            ends[i, 1] = llen
-        return slots.shape[0]
-
-    @njit(cache=True, nogil=True)
-    def sample_rr_sets_njit(
-        rin_offsets, rin_sources, rin_probs, rng, first, root_index, rr_offsets,
-        flat, stamp,
-    ):
-        # numba runs the Generator's own integers/random on its bit
-        # generator, with numpy's algorithms.
-        num_nodes = rin_offsets.shape[0] - 1
-        num_sets = root_index.shape[0]
-        tail = rr_offsets[first]
-        for set_id in range(first, num_sets):
-            if tail + num_nodes > flat.shape[0]:
-                return set_id - first
-            target = rng.integers(0, num_nodes)
-            root_index[set_id] = target
-            stamp[target] = set_id
-            head = tail
-            flat[tail] = target
-            tail += 1
-            while head < tail:
-                node = flat[head]
-                head += 1
-                for pos in range(rin_offsets[node], rin_offsets[node + 1]):
-                    source = rin_sources[pos]
-                    if stamp[source] == set_id:
-                        continue
-                    if rng.random() < rin_probs[pos]:
-                        stamp[source] = set_id
-                        flat[tail] = source
-                        tail += 1
-            rr_offsets[set_id + 1] = tail
-        return num_sets - first
-
-    return cascade_block_njit, cascade_worlds_instrumented_njit, sample_rr_sets_njit
-
-
 def _cache_dir() -> Path:
     override = os.environ.get(CACHE_DIR_ENV)
     if override:
@@ -513,24 +366,46 @@ def _build_cc_library() -> Tuple[Optional[ctypes.CDLL], float]:
 
 
 class CascadeKernel:
-    """One resolved native backend: compiled entry points + warm-up.
+    """The compiled C library's entry points, plus warm-up.
 
     Instances are produced by :func:`load_kernel` (one per process) and are
     shared by every engine and worker in the process; the entry points keep
-    no state between calls but the C backend's address memo, whose entries
-    are replaced whole, so sharing is safe.
+    no state between calls but their address memos, whose entries are
+    replaced whole, so sharing is safe.
     """
 
-    def __init__(self, backend: str, block_fn, instrumented_fn, rr_fn) -> None:
-        self.backend = backend
-        self._block_fn = block_fn
-        self._instrumented_fn = instrumented_fn
-        self._rr_fn = rr_fn
+    #: Name of the native backend, as :func:`kernel_backend` reports it.
+    backend = "cc"
+
+    def __init__(self, library: ctypes.CDLL, compile_seconds: float = 0.0) -> None:
+        i32, i64 = np.int32, np.int64
+        c_i64 = ctypes.c_int64
+        ptr = ctypes.c_void_p
+        self._block_raw = library.repro_cascade_block
+        self._block_raw.argtypes = [
+            ptr, ptr, c_i64, c_i64, ptr, c_i64, ptr, ptr, c_i64, ptr, ptr,
+        ]
+        self._block_raw.restype = c_i64
+        self._instrumented_raw = library.repro_cascade_worlds_instrumented
+        self._instrumented_raw.argtypes = [
+            ptr, ptr, c_i64, ptr, c_i64, ptr, c_i64, ptr, ptr, c_i64, ptr, ptr,
+            c_i64, ptr,
+        ]
+        self._instrumented_raw.restype = c_i64
+        self._rr_raw = library.repro_sample_rr_sets
+        self._rr_raw.argtypes = [
+            ptr, ptr, ptr, c_i64, ptr, c_i64, c_i64, ptr, ptr, ptr, c_i64, ptr,
+        ]
+        self._rr_raw.restype = c_i64
+        self._block_at = _address_memo(i32, i64, i32, i64, i64, i32, i64)
+        self._instrumented_at = _address_memo(
+            i32, i64, i64, i32, i64, i64, i32, i32, i64
+        )
+        self._rr_at = _address_memo(i64, i64, np.float64, i64, i64, i64, i64)
         self._warmed = False
-        #: Wall-clock seconds the one-off warm-up (JIT compilation for the
-        #: numba backend, shared-library compilation for the C backend)
-        #: cost in this process; 0.0 once warm or when a disk cache was hit.
-        self.compile_seconds = 0.0
+        #: Seconds this process spent compiling the shared library (0.0 on
+        #: a disk-cache hit) and in its one-off :meth:`warm` calls.
+        self.compile_seconds = compile_seconds
 
     # -- entry points --------------------------------------------------
 
@@ -551,10 +426,11 @@ class CascadeKernel:
         the same contract as the interpreted
         :func:`repro.diffusion.engine.cascade_block`.
         """
-        return int(
-            self._block_fn(
-                targets, offsets, seeds, coupons, visited, stamp, queue, counts
-            )
+        at = self._block_at
+        return self._block_raw(
+            at(0, targets), at(1, offsets), offsets.shape[1] - 1,
+            offsets.shape[0], at(2, seeds), seeds.shape[0], at(3, coupons),
+            at(4, visited), stamp, at(5, queue), at(6, counts),
         )
 
     def cascade_world_instrumented(
@@ -585,11 +461,12 @@ class CascadeKernel:
                 f"ends holds {ends.shape[0]} worlds, the call asks for "
                 f"{slots.shape[0]}"
             )
-        return int(
-            self._instrumented_fn(
-                targets, offsets, slots, seeds, coupons, visited, stamp,
-                queue, limited, ends,
-            )
+        at = self._instrumented_at
+        return self._instrumented_raw(
+            at(0, targets), at(1, offsets), offsets.shape[1] - 1,
+            at(2, slots), slots.shape[0], at(3, seeds), seeds.shape[0],
+            at(4, coupons), at(5, visited), stamp, at(6, queue),
+            at(7, limited), min(queue.shape[0], limited.shape[0]), at(8, ends),
         )
 
     def sample_rr_sets(
@@ -635,23 +512,25 @@ class CascadeKernel:
             )
         if stamp.shape[0] != num_nodes:
             raise ValueError(f"stamp holds {stamp.shape[0]} of {num_nodes} nodes")
+        at = self._rr_at
         with rng.bit_generator.lock:
-            return int(
-                self._rr_fn(
-                    rin_offsets, rin_sources, rin_probs, rng, first, root_index,
-                    rr_offsets, flat, stamp,
-                )
+            return self._rr_raw(
+                at(0, rin_offsets), at(1, rin_sources), at(2, rin_probs),
+                num_nodes, rng.bit_generator.ctypes.bit_generator.value, first,
+                num_sets, at(3, root_index), at(4, rr_offsets), at(5, flat),
+                flat.shape[0], at(6, stamp),
             )
 
     # -- warm-up -------------------------------------------------------
 
     def warm(self) -> float:
-        """Compile/trigger both cascade entry points on a one-world dummy block.
+        """Run both cascade entry points once on a one-world dummy block.
 
-        Engines call this at construction so the JIT cost lands before any
-        timed evaluation (CELF pivot-queue timings, benchmarks) instead of
-        inside the first one.  Idempotent per kernel instance; returns the
-        seconds this call spent (0.0 once warm).
+        Engines call this at construction so the first calls' one-off cost
+        (symbol binding, first-touch page faults) lands before any timed
+        evaluation (CELF pivot-queue timings, benchmarks) instead of inside
+        the first one.  Idempotent per kernel instance; returns the seconds
+        this call spent (0.0 once warm).
         """
         if self._warmed:
             return 0.0
@@ -706,82 +585,6 @@ def _address_memo(*dtypes):
     return address
 
 
-def _make_cc_kernel() -> Optional[CascadeKernel]:
-    library, compile_seconds = _build_cc_library()
-    if library is None:
-        return None
-    i32, i64 = np.int32, np.int64
-    c_i64 = ctypes.c_int64
-    ptr = ctypes.c_void_p
-
-    block_raw = library.repro_cascade_block
-    block_raw.argtypes = [
-        ptr, ptr, c_i64, c_i64, ptr, c_i64, ptr, ptr, c_i64, ptr, ptr,
-    ]
-    block_raw.restype = c_i64
-    instrumented_raw = library.repro_cascade_worlds_instrumented
-    instrumented_raw.argtypes = [
-        ptr, ptr, c_i64, ptr, c_i64, ptr, c_i64, ptr, ptr, c_i64, ptr, ptr,
-        c_i64, ptr,
-    ]
-    instrumented_raw.restype = c_i64
-    rr_raw = library.repro_sample_rr_sets
-    rr_raw.argtypes = [
-        ptr, ptr, ptr, c_i64, ptr, c_i64, c_i64, ptr, ptr, ptr, c_i64, ptr,
-    ]
-    rr_raw.restype = c_i64
-
-    block_at = _address_memo(i32, i64, i32, i64, i64, i32, i64)
-    instrumented_at = _address_memo(i32, i64, i64, i32, i64, i64, i32, i32, i64)
-    rr_at = _address_memo(i64, i64, np.float64, i64, i64, i64, i64)
-
-    def block_fn(targets, offsets, seeds, coupons, visited, stamp, queue, counts):
-        at = block_at
-        return block_raw(
-            at(0, targets), at(1, offsets), offsets.shape[1] - 1,
-            offsets.shape[0], at(2, seeds), seeds.shape[0], at(3, coupons),
-            at(4, visited), stamp, at(5, queue), at(6, counts),
-        )
-
-    def instrumented_fn(
-        targets, offsets, slots, seeds, coupons, visited, stamp, queue, limited,
-        ends,
-    ):
-        at = instrumented_at
-        return instrumented_raw(
-            at(0, targets), at(1, offsets), offsets.shape[1] - 1,
-            at(2, slots), slots.shape[0], at(3, seeds), seeds.shape[0],
-            at(4, coupons), at(5, visited), stamp, at(6, queue),
-            at(7, limited), min(queue.shape[0], limited.shape[0]), at(8, ends),
-        )
-
-    def rr_fn(
-        rin_offsets, rin_sources, rin_probs, rng, first, root_index, rr_offsets,
-        flat, stamp,
-    ):
-        at = rr_at
-        return rr_raw(
-            at(0, rin_offsets), at(1, rin_sources), at(2, rin_probs),
-            rin_offsets.shape[0] - 1,
-            rng.bit_generator.ctypes.bit_generator.value, first,
-            root_index.shape[0], at(3, root_index), at(4, rr_offsets),
-            at(5, flat), flat.shape[0], at(6, stamp),
-        )
-
-    kernel = CascadeKernel("cc", block_fn, instrumented_fn, rr_fn)
-    kernel.compile_seconds = compile_seconds
-    return kernel
-
-
-def _make_numba_kernel() -> Optional[CascadeKernel]:
-    try:
-        kernels = _make_numba_kernels()
-    except Exception as error:  # ImportError, numba config errors, ...
-        logger.debug("numba cascade kernel unavailable: %s", error)
-        return None
-    return CascadeKernel("numba", *kernels)
-
-
 # Per-process kernel singleton: False = unresolved, None = resolved absent.
 _KERNEL: "CascadeKernel | None | bool" = False
 
@@ -791,7 +594,7 @@ def native_disabled() -> bool:
 
     Parsed through :func:`repro.utils.env.env_flag`, so ``0``/``false``/
     ``no``/``off``/empty behave exactly like leaving the variable unset —
-    only a truthy spelling disables the native backends.
+    only a truthy spelling disables the native kernel.
     """
     return env_flag(DISABLE_ENV)
 
@@ -799,26 +602,26 @@ def native_disabled() -> bool:
 def load_kernel() -> Optional[CascadeKernel]:
     """The process-wide native kernel, or ``None`` when unavailable.
 
-    Resolution order: numba (``@njit``) when importable, then the
-    C-compiler backend, then ``None``.  The result is cached for the life
-    of the process; tests use :func:`reset_kernel_cache` to re-resolve
-    after monkeypatching the backends.
+    The C library is compiled (or loaded from the disk cache) on first use;
+    without a compiler the answer is ``None``.  The result is cached for the
+    life of the process; tests use :func:`reset_kernel_cache` to re-resolve
+    after monkeypatching :func:`_build_cc_library`.
     """
     global _KERNEL
     if native_disabled():
         return None
     if _KERNEL is False:
-        kernel = _make_numba_kernel()
-        if kernel is None:
-            kernel = _make_cc_kernel()
-        if kernel is None:
+        library, compile_seconds = _build_cc_library()
+        if library is None:
             logger.debug("no native cascade kernel backend available")
-        _KERNEL = kernel
+            _KERNEL = None
+        else:
+            _KERNEL = CascadeKernel(library, compile_seconds)
     return _KERNEL
 
 
 def kernel_backend() -> Optional[str]:
-    """Name of the resolved native backend (``"numba"``/``"cc"``/``None``)."""
+    """Name of the resolved native backend (``"cc"``) or ``None``."""
     kernel = load_kernel()
     return kernel.backend if kernel is not None else None
 

@@ -21,13 +21,13 @@ Backends
 --------
 Sampling runs over a reverse-adjacency CSR built once per sampler
 (``backend="csr"``, the default), which preserves each node's
-``in_neighbors`` iteration order.  Whenever a native kernel backend resolves
+``in_neighbors`` iteration order.  Whenever the native kernel loads
 (:func:`repro.diffusion.kernels.load_kernel`), one call of its
 ``sample_rr_sets`` entry samples every set, drawing from the sampler's own
 generator exactly what the dict-adjacency BFS draws: an ``integers(0, n)``
 target per set, then one double per not-yet-visited in-neighbour.  On a host
-with no native backend (``REPRO_NO_NATIVE_KERNEL`` set, or neither numba nor
-a C compiler) a numpy loop samples instead: per BFS-popped node the in-edge
+with no native kernel (``REPRO_NO_NATIVE_KERNEL`` set, or no C compiler) a
+numpy loop samples instead: per BFS-popped node the in-edge
 slice is masked against a visited stamp array and the survivors' coins are
 drawn with one ``rng.random(k)`` call, which numpy fills with exactly the
 ``k`` doubles that ``k`` scalar calls would produce.  Both paths therefore

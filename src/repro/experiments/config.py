@@ -74,6 +74,10 @@ class ExperimentConfig:
             raise ExperimentError(f"repetitions must be > 0, got {self.repetitions}")
         if self.lam <= 0 or self.kappa <= 0:
             raise ExperimentError("lam and kappa must be > 0")
+        for name in ("candidate_limit", "max_pivot_candidates"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ExperimentError(f"{name} must be > 0 or None, got {value}")
 
     def replace(self, **changes) -> "ExperimentConfig":
         """Return a copy with some fields replaced."""

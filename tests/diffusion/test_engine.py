@@ -1,4 +1,5 @@
-"""Bit-parity tests: compiled cascade engine vs the dict-path reference.
+"""Bit-parity tests: compiled cascade engine vs the dict-path reference
+(:class:`tests.oracles.DictOracle`).
 
 The engine must reproduce the dict path's live-edge worlds and cascades
 exactly for a fixed seed (common random numbers included): identical
@@ -12,10 +13,10 @@ from hypothesis import given, settings
 
 from repro.diffusion.engine import CompiledCascadeEngine
 from repro.diffusion.live_edge import cascade_in_world, sample_worlds
-from repro.diffusion.monte_carlo import MonteCarloEstimator
 from repro.graph.csr import CompiledGraph
 from repro.graph.generators import ppgg_like_graph, star_graph
 from repro.graph.social_graph import SocialGraph
+from tests.oracles import DictOracle
 
 
 @st.composite
@@ -54,9 +55,7 @@ def instance(draw):
 @given(instance(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_activation_probabilities_bit_parity_with_dict_backend(data, seed):
     graph, seeds, allocation = data
-    dict_estimator = MonteCarloEstimator(
-        graph, num_samples=25, seed=seed, backend="dict"
-    )
+    dict_estimator = DictOracle(graph, num_samples=25, seed=seed)
     engine = CompiledCascadeEngine(graph, 25, seed=seed)
     assert engine.activation_probabilities(
         seeds, allocation
@@ -67,9 +66,7 @@ def test_activation_probabilities_bit_parity_with_dict_backend(data, seed):
 @given(instance(), st.integers(min_value=0, max_value=2**31 - 1))
 def test_expected_benefit_parity_with_dict_backend(data, seed):
     graph, seeds, allocation = data
-    dict_estimator = MonteCarloEstimator(
-        graph, num_samples=25, seed=seed, backend="dict"
-    )
+    dict_estimator = DictOracle(graph, num_samples=25, seed=seed)
     engine = CompiledCascadeEngine(graph, 25, seed=seed)
     assert engine.expected_benefit(seeds, allocation) == pytest.approx(
         dict_estimator.expected_benefit(seeds, allocation), rel=1e-12, abs=1e-12

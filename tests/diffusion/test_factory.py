@@ -13,6 +13,7 @@ from repro.diffusion.rr_sets import RRBenefitEstimator
 from repro.exceptions import EstimationError
 from repro.experiments.datasets import toy_scenario
 from repro.graph.generators import path_graph, star_graph
+from tests.oracles import DictOracle
 
 
 def unit_benefit(graph):
@@ -25,12 +26,12 @@ def test_default_method_is_compiled_monte_carlo():
     assert DEFAULT_ESTIMATOR_METHOD == "mc-compiled"
     estimator = make_estimator(toy_scenario(), num_samples=20, seed=1)
     assert isinstance(estimator, MonteCarloEstimator)
-    assert estimator.backend == "compiled"
 
 
 def test_method_dispatch():
     scenario = toy_scenario()
-    assert make_estimator(scenario, "mc", num_samples=5).backend == "dict"
+    with pytest.raises(EstimationError):
+        make_estimator(scenario, "mc", num_samples=5)
     assert isinstance(make_estimator(scenario, "exact"), ExactEstimator)
     assert isinstance(
         make_estimator(scenario, "rr", num_rr_sets=50, seed=1), RRBenefitEstimator
@@ -39,7 +40,7 @@ def test_method_dispatch():
 
 def test_accepts_bare_graph():
     graph = unit_benefit(star_graph(4))
-    estimator = make_estimator(graph, "mc", num_samples=5, seed=0)
+    estimator = make_estimator(graph, "mc-compiled", num_samples=5, seed=0)
     assert estimator.graph is graph
 
 
@@ -64,7 +65,7 @@ def test_every_advertised_method_constructs():
 def test_compiled_and_dict_methods_agree_bit_for_bit():
     scenario = toy_scenario()
     compiled = make_estimator(scenario, "mc-compiled", num_samples=40, seed=11)
-    reference = make_estimator(scenario, "mc", num_samples=40, seed=11)
+    reference = DictOracle(scenario.graph, num_samples=40, seed=11)
     nodes = list(scenario.graph.nodes())
     seeds = nodes[:2]
     allocation = {
@@ -99,9 +100,3 @@ def test_rr_estimator_is_sane_on_a_deterministic_path():
     assert probabilities[2] == 1.0
     assert estimator.expected_benefit([0], {}) == pytest.approx(3.0)
     assert estimator.activation_probabilities([], {}) == {}
-
-
-def test_monte_carlo_rejects_unknown_backend():
-    graph = unit_benefit(star_graph(3))
-    with pytest.raises(EstimationError):
-        MonteCarloEstimator(graph, num_samples=5, backend="gpu")

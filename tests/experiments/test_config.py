@@ -30,6 +30,8 @@ def test_replace_returns_modified_copy():
         {"repetitions": 0},
         {"lam": 0},
         {"kappa": -1},
+        {"candidate_limit": 0},
+        {"max_pivot_candidates": -1},
     ],
 )
 def test_invalid_values_rejected(kwargs):

@@ -1,6 +1,6 @@
 """Parity suite: the native cascade kernel vs the interpreted oracle.
 
-The native kernels (:mod:`repro.diffusion.kernels`) promise *bit-identity*
+The native kernel (:mod:`repro.diffusion.kernels`) promises *bit-identity*
 with the interpreted cascade loops in :mod:`repro.diffusion.engine` — same
 activation queues, same counts, same coupon-limited flags, same benefits —
 for any graph, deployment, shard size and worker count.  These tests pin
@@ -11,7 +11,7 @@ that contract at every level the kernel dispatches through:
 * the multiprocess shard executor (kernel-tagged worker tasks);
 * the delta engine's snapshot/splice paths, including a full ``S3CA.run()``
   deployment-identity check with ``snapshot_passes == 1`` still holding;
-* graceful degradation: with every native backend monkeypatched away the
+* graceful degradation: with the native kernel monkeypatched away the
   engine warns (when the kernel was requested explicitly), falls back to
   the interpreted loop, and still produces identical results.
 """
@@ -245,13 +245,8 @@ def test_full_s3ca_deployment_identical_with_and_without_kernel():
 
 @pytest.fixture
 def no_native_backend(monkeypatch):
-    """Make every native backend unresolvable, as if numba were uninstalled
-    and no C compiler existed; restores the real resolution afterwards."""
-
-    def raise_import_error():
-        raise ImportError("numba is not installed")
-
-    monkeypatch.setattr(kernels, "_import_numba", raise_import_error)
+    """Make the native kernel unresolvable, as if no C compiler existed;
+    restores the real resolution afterwards."""
     monkeypatch.setattr(kernels, "_build_cc_library", lambda: (None, 0.0))
     kernels.reset_kernel_cache()
     yield

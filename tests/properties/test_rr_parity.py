@@ -229,11 +229,10 @@ def test_native_entry_checks_its_arguments():
         kernel.sample_rr_sets(*rin, rng, 4, roots, offsets, flat, stamp)
     with pytest.raises(ValueError, match="stamp"):
         kernel.sample_rr_sets(*rin, rng, 0, roots, offsets, flat, stamp[:4])
-    if kernel.backend == "cc":  # raw addresses: dtypes are checked first
-        with pytest.raises(TypeError):
-            kernel.sample_rr_sets(
-                *rin, rng, 0, roots, offsets, flat.astype(np.int32), stamp
-            )
+    with pytest.raises(TypeError):  # raw addresses: dtypes are checked first
+        kernel.sample_rr_sets(
+            *rin, rng, 0, roots, offsets, flat.astype(np.int32), stamp
+        )
     # Beyond 2**32 - 1 nodes numpy leaves the bounded 32-bit draw; a
     # zero-stride view stands in for such a graph's offsets.
     huge = np.lib.stride_tricks.as_strided(

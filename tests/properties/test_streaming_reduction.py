@@ -127,7 +127,7 @@ def test_streaming_reduction_matches_serial_for_any_completion_order(
     st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_pipelined_batch_matches_sequential_estimates(data, seed, order_seed):
-    """expected_benefits (several pending evaluations) == one-by-one calls."""
+    """submit_many (several pending evaluations) == one-by-one calls."""
     graph, seeds, allocation = data
     nodes = list(graph.nodes())
     deployments = [(seeds, allocation)]
@@ -146,7 +146,7 @@ def test_pipelined_batch_matches_sequential_estimates(data, seed, order_seed):
     streaming = MonteCarloEstimator(
         graph, num_samples=NUM_WORLDS, seed=seed, shard_size=7, pool=fake,
     )
-    assert streaming.expected_benefits(deployments) == expected
+    assert streaming.submit_many(deployments) == expected
     # and the memo now serves the same numbers one by one
     assert [
         streaming.expected_benefit(seeds_, alloc_)

@@ -95,10 +95,14 @@ def test_parser_accepts_scaling_flags():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("flag", ["--workers", "--shard-size", "--tier-topk"])
+@pytest.mark.parametrize(
+    "flag",
+    ["--workers", "--shard-size", "--tier-topk", "--pivot-limit", "--candidate-limit"],
+)
 @pytest.mark.parametrize("value", ["0", "-1", "-128"])
 def test_non_positive_scaling_knobs_rejected_at_parse_time(flag, value, capsys):
-    """0/negative worker or shard counts are argparse errors, not deep crashes."""
+    """0/negative counts and limits are argparse errors, not deep crashes or
+    silently changed solves."""
     parser = build_parser()
     with pytest.raises(SystemExit) as excinfo:
         parser.parse_args(["solve", flag, value])
