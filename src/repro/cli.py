@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from typing import List, Optional, Sequence
 
@@ -521,10 +522,21 @@ _COMMANDS = {
 }
 
 
-def _release_after_interrupt() -> None:
-    """Best-effort teardown of pools and shm segments after a SIGINT.
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread as SIGINT raises ``KeyboardInterrupt``.
 
-    A Ctrl-C can land anywhere — mid-broadcast, mid-reduce — so each step
+    A ``BaseException``, so no ``except Exception`` on the way up swallows it.
+    """
+
+
+def _raise_terminated(signum, frame) -> None:
+    raise _Terminated
+
+
+def _release_after_interrupt() -> None:
+    """Best-effort teardown of pools and shm segments after SIGINT or SIGTERM.
+
+    A signal can land anywhere — mid-broadcast, mid-reduce — so each step
     is independently shielded; the goal is no live worker processes and no
     /dev/shm residue, not a clean unwind.
     """
@@ -556,6 +568,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    previous_sigterm = signal.signal(signal.SIGTERM, _raise_terminated)
     try:
         output = _COMMANDS[args.command](args)
         print(output)
@@ -566,11 +579,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _release_after_interrupt()
         print("interrupted", file=sys.stderr)
         return 130
+    except _Terminated:
+        _release_after_interrupt()
+        print("terminated", file=sys.stderr)
+        return 143
     except BrokenPipeError:
         # Typical when piped into `head`: the reader went away. Exit with
         # the conventional SIGPIPE code instead of a traceback.
         _suppress_broken_pipe()
         return 141
+    finally:
+        signal.signal(signal.SIGTERM, previous_sigterm)
     return 0
 
 

@@ -89,7 +89,17 @@ class Deployment:
 
     def sc_cost(self) -> float:
         """Expected social-coupon cost ``Csc(K(I))``."""
-        return expected_sc_cost(self.graph, self.allocation.as_dict(), _cache=self._sc_cost_cache)
+        return self.sc_cost_of(self.allocation.as_dict())
+
+    def sc_cost_of(self, allocation: Mapping[NodeId, int]) -> float:
+        """Expected SC cost of any ``allocation`` on this graph, via the shared cache.
+
+        Holders are priced in ``allocation``'s order through the same
+        ``(node, k)`` table as :meth:`node_sc_cost`, so the result equals an
+        uncached :func:`~repro.core.allocation.expected_sc_cost` bit for bit.
+        GPI prices its tentative path allocations here.
+        """
+        return expected_sc_cost(self.graph, allocation, _cache=self._sc_cost_cache)
 
     def node_sc_cost(self, node: NodeId, coupons: int) -> float:
         """Expected SC cost of ``node`` holding ``coupons``, via the shared cache.

@@ -18,14 +18,26 @@ Traversal rules (matching Alg. 2):
 * if the guaranteed cost of that allocation exceeds the remaining budget
   (``B_inv − c_seed(s)``), ``v`` is not visited: its subtree and its unvisited
   (lower-probability) siblings are pruned and the traversal backtracks.
+
+Pricing a visit
+---------------
+Every visit prices the whole tentative allocation, holder by holder, through
+:meth:`Deployment.sc_cost_of` — the ``(node, k)`` SC-cost table the ID phase
+filled during the same solve — so the O(degree²) Poisson-binomial recurrence
+runs at most once per distinct ``(node, k)`` rather than once per holder per
+visit.  The summation order is kept on purpose: holders are summed in the
+tentative allocation's insertion order, and a path's benefit is one ``sum()``
+over the visited users' benefits in visiting order (not a running ``+=``,
+which differs in the last bits from Python 3.12's compensated float
+``sum()``).  Every :class:`GuaranteedPath` float is therefore bit-identical
+to pricing each visit from scratch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
-from repro.core.allocation import expected_sc_cost
 from repro.core.deployment import Deployment
 from repro.graph.social_graph import SocialGraph
 
@@ -133,7 +145,9 @@ def identify_guaranteed_paths(
     Parameters
     ----------
     graph / deployment / budget_limit:
-        The problem instance and the ID-phase result ``D*``.
+        The problem instance and the ID-phase result ``D*``.  ``deployment``
+        must live on ``graph``: visits are priced through its SC-cost table
+        (:meth:`Deployment.sc_cost_of`).
     max_paths_per_seed:
         Optional cap on the number of paths recorded per seed (the traversal
         stops early once reached); keeps the SCM phase tractable on large
@@ -148,6 +162,7 @@ def identify_guaranteed_paths(
             continue
         _traverse_from_seed(
             graph,
+            deployment.sc_cost_of,
             seed,
             remaining,
             result,
@@ -159,6 +174,7 @@ def identify_guaranteed_paths(
 
 def _traverse_from_seed(
     graph: SocialGraph,
+    sc_cost_of: Callable[[Mapping[NodeId, int]], float],
     seed: NodeId,
     remaining_budget: float,
     result: GPIResult,
@@ -169,29 +185,28 @@ def _traverse_from_seed(
     """Depth-first traversal from one seed, recording a path per visited node."""
     visited: Set[NodeId] = {seed}
     visited_order: List[NodeId] = [seed]
+    visited_benefits: List[float] = [graph.benefit(seed)]
     children_count: Dict[NodeId, int] = {}
     recorded = 0
-
-    def guaranteed_cost_with(candidate: NodeId, parent: NodeId) -> float:
-        tentative = dict(children_count)
-        tentative[parent] = tentative.get(parent, 0) + 1
-        return expected_sc_cost(graph, tentative)
 
     def visit(node: NodeId, parent: NodeId, depth: int) -> bool:
         """Try to visit ``node``; returns False when the budget prunes it."""
         nonlocal recorded
-        cost = guaranteed_cost_with(node, parent)
+        tentative = dict(children_count)
+        tentative[parent] = tentative.get(parent, 0) + 1
+        cost = sc_cost_of(tentative)
         if cost > remaining_budget:
             return False
         visited.add(node)
         visited_order.append(node)
-        children_count[parent] = children_count.get(parent, 0) + 1
-        benefit = sum(graph.benefit(v) for v in visited_order)
+        visited_benefits.append(graph.benefit(node))
+        children_count[parent] = tentative[parent]
+        benefit = sum(visited_benefits)
         path = GuaranteedPath(
             seed=seed,
             terminal=node,
             nodes=tuple(visited_order),
-            allocation=dict(children_count),
+            allocation=tentative,
             guaranteed_cost=cost,
             expected_benefit=benefit,
             parent=parent,

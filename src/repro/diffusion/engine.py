@@ -300,11 +300,6 @@ class WorldSampler:
         clone.layers = self.layers
         return clone
 
-    def generator_at(self, world_index: int) -> np.random.Generator:
-        """A generator at the first *base-layer* coin flip of ``world_index``."""
-        state, width = self.layers[0]
-        return self._layer_generator(state, width, world_index)
-
     def draws_at(self, positions: np.ndarray, num_worlds: int) -> np.ndarray:
         """The coin-flip draws at given positions, for every world.
 

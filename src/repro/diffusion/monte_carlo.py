@@ -43,8 +43,13 @@ import numpy as np
 from repro.diffusion.delta import DeltaCascadeEngine, DeltaOutcome
 from repro.diffusion.engine import CompiledCascadeEngine
 from repro.diffusion.estimator import BenefitEstimator, DeploymentKey
-from repro.diffusion.reconcile import ReconcileOutcome, dirty_world_mask
+from repro.diffusion.reconcile import (
+    ReconcileOutcome,
+    dirty_world_mask,
+    refuse_retired_base,
+)
 from repro.exceptions import EstimationError
+from repro.graph.events import NodeRetire
 from repro.graph.social_graph import SocialGraph
 from repro.utils.rng import SeedLike
 
@@ -481,8 +486,21 @@ class MonteCarloEstimator(BenefitEstimator):
 
         Mutates the estimator's :class:`SocialGraph` (delta-recompiling its
         CSR cache) and then reconciles this estimator onto the evolved graph
-        via :meth:`reconcile`.
+        via :meth:`reconcile`.  A batch that retires a seed or a coupon
+        holder of the snapshot base is refused with :class:`EstimationError`
+        before anything changes.
         """
+        delta = self._delta
+        if delta is not None and delta.has_snapshot:
+            index = self._engine.compiled.index
+            refuse_retired_base(
+                delta,
+                [
+                    index[event.node]
+                    for event in batch.events
+                    if isinstance(event, NodeRetire) and event.node in index
+                ],
+            )
         application = self.graph.apply_events(batch)
         return self.reconcile(application)
 

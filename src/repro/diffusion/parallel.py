@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import signal
 import sys
 import time
 import weakref
@@ -159,6 +160,10 @@ class _WorkerState:
 
 def _init_worker(barrier) -> None:
     global _WORKER_BARRIER, _WORKER_STATES
+    # A forked worker inherits the parent's SIGTERM handler (the CLI's raises
+    # an exception); restore the default so ``Pool.terminate()`` still stops
+    # workers silently.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _WORKER_BARRIER = barrier
     _WORKER_STATES = {}
 

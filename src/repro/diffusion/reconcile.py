@@ -47,7 +47,12 @@ from repro.diffusion.delta import _sorted_remove
 from repro.exceptions import EstimationError
 from repro.graph.events import EventApplication
 
-__all__ = ["ReconcileOutcome", "dirty_world_mask", "reconcile_snapshot"]
+__all__ = [
+    "ReconcileOutcome",
+    "dirty_world_mask",
+    "reconcile_snapshot",
+    "refuse_retired_base",
+]
 
 
 class ReconcileOutcome:
@@ -134,6 +139,29 @@ def dirty_world_mask(
     return (draws < np.asarray(thresholds, dtype=np.float64)).any(axis=1)
 
 
+def refuse_retired_base(delta, retired) -> None:
+    """Raise :class:`EstimationError` if ``retired`` removes part of the base.
+
+    ``retired`` holds node indices in ``delta``'s snapshot index space.  A
+    retired base seed or coupon holder has no well-defined reconciliation:
+    the deployment itself referenced the removed node.  The estimator runs
+    this before it applies a batch, so a refused batch changes nothing.
+    """
+    retired_set = set(retired)
+    for seed_index in delta._base_seed_indices:
+        if seed_index in retired_set:
+            raise EstimationError(
+                f"cannot reconcile: base seed at old index {seed_index} "
+                f"was retired by the event batch"
+            )
+    for old_index in retired_set:
+        if delta._base_coupons[old_index] > 0:
+            raise EstimationError(
+                f"cannot reconcile: retired node index {old_index} "
+                f"holds base coupons"
+            )
+
+
 def reconcile_snapshot(
     delta, application: EventApplication, dirty_mask: np.ndarray
 ) -> Optional[float]:
@@ -150,22 +178,7 @@ def reconcile_snapshot(
     remap = application.remap
     old_num_nodes = application.old_num_nodes
 
-    # A retired base seed or active coupon holder has no well-defined
-    # reconciliation: the deployment itself referenced the removed node.
-    if application.retired:
-        retired_set = set(application.retired)
-        for seed_index in delta._base_seed_indices:
-            if seed_index in retired_set:
-                raise EstimationError(
-                    f"cannot reconcile: base seed at old index {seed_index} "
-                    f"was retired by the event batch"
-                )
-        for old_index in retired_set:
-            if delta._base_coupons[old_index] > 0:
-                raise EstimationError(
-                    f"cannot reconcile: retired node index {old_index} "
-                    f"holds base coupons"
-                )
+    refuse_retired_base(delta, application.retired)
 
     # The deployment re-resolved on the evolved graph must be exactly the
     # old resolution pushed through the remap.  A previously-unknown seed id

@@ -32,7 +32,7 @@ from repro.core.deployment import Deployment
 from repro.core.s3ca import S3CA, S3CAResult
 from repro.diffusion.parallel import SharedShardPool
 from repro.diffusion.tiered import TieredEstimator
-from repro.exceptions import ReproError
+from repro.exceptions import EstimationError, ReproError
 from repro.experiments.config import ServerConfig
 from repro.graph.events import GraphEventBatch
 from repro.graph.social_graph import SocialGraph
@@ -345,7 +345,9 @@ class CampaignService:
         changed edge, and the last solve's expected benefit is re-stated on
         the evolved graph — all without a cold rebuild, which is what the
         unchanged ``graph_compiles`` / ``estimator_builds`` counters in the
-        response prove.  Refused with 409 while a solve is queued or running.
+        response prove.  Refused with 409 while a solve is queued or running,
+        and with 422, state untouched, when the batch retires a seed or a
+        coupon holder of the resident snapshot.
         """
         entry = self.registry.get(scenario_id)
         with entry.lock:
@@ -357,7 +359,12 @@ class CampaignService:
             estimator = entry.estimator
             outcome = None
             if estimator is not None:
-                outcome = estimator.ingest_events(batch)
+                try:
+                    outcome = estimator.ingest_events(batch)
+                except EstimationError as error:
+                    # A batch retiring a seed or coupon holder of the
+                    # resident snapshot is refused before the graph changes.
+                    raise InvalidRequest(str(error)) from error
             else:
                 # Nothing resident yet: evolve the graph alone; the first
                 # solve compiles the evolved graph as usual.

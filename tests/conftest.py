@@ -9,6 +9,8 @@ The fixtures centre on small, hand-analysable graphs:
 * ``two_hop_path`` / ``small_star`` are minimal topologies for cascade and
   cost-model unit tests.
 * ``toy`` is the packaged 8-node quickstart scenario.
+* ``scm_scenario`` is a small, coupon-heavy synthetic instance on which the
+  SC-maneuver phase really moves coupons (with estimator seed 5).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 
 from repro.economics.scenario import Scenario
 from repro.experiments.datasets import toy_scenario
+from repro.experiments.scalability import synthetic_scenario
 from repro.graph.social_graph import SocialGraph
 
 
@@ -83,3 +86,9 @@ def small_star() -> SocialGraph:
 def toy() -> Scenario:
     """The packaged quickstart scenario."""
     return toy_scenario()
+
+
+@pytest.fixture(scope="module")
+def scm_scenario() -> Scenario:
+    """Small, coupon-heavy instance in which SCM really moves coupons."""
+    return synthetic_scenario(50, budget=200.0, seed=5)

@@ -53,12 +53,6 @@ def scenario():
     return synthetic_scenario(80, budget=60.0, seed=SEED)
 
 
-@pytest.fixture(scope="module")
-def scm_scenario():
-    """Small, coupon-heavy instance in which SCM really moves coupons."""
-    return synthetic_scenario(50, budget=200.0, seed=5)
-
-
 def _deployment_key(deployment):
     return (
         tuple(sorted(deployment.seeds, key=str)),

@@ -259,15 +259,36 @@ def test_newly_resolving_seed_falls_back_to_fresh_snapshot():
         estimator.close()
 
 
-def test_retiring_a_base_seed_is_rejected():
+def _assert_refused_batch_changes_nothing(retired):
+    """A refused batch leaves the graph and the resident snapshot as they were."""
     graph = build_graph()
     estimator = _warm_estimator(graph)
     try:
-        estimator.snapshot_base(SEEDS, ALLOC)
+        before = estimator.snapshot_base(SEEDS, ALLOC)
+        shape = (graph.num_nodes, graph.num_edges, graph.topology_version)
+        batch = GraphEventBatch([EdgeDrop(1, 2), NodeRetire(retired)])
         with pytest.raises(EstimationError):
-            estimator.ingest_events(GraphEventBatch([NodeRetire(SEEDS[0])]))
+            estimator.ingest_events(batch)
+        assert (graph.num_nodes, graph.num_edges, graph.topology_version) == shape
+        estimator.clear_cache()
+        assert estimator.expected_benefit(SEEDS, ALLOC) == before
+        assert estimator.snapshot_base(SEEDS, ALLOC) == before
+        cold = _warm_estimator(build_graph())
+        try:
+            assert cold.expected_benefit(SEEDS, ALLOC) == before
+        finally:
+            cold.close()
     finally:
         estimator.close()
+
+
+def test_retiring_a_base_seed_is_rejected():
+    _assert_refused_batch_changes_nothing(SEEDS[0])
+
+
+def test_retiring_a_base_coupon_holder_is_rejected():
+    assert 7 not in SEEDS and ALLOC[7] > 0
+    _assert_refused_batch_changes_nothing(7)
 
 
 def test_events_without_snapshot_still_evolve_the_engine():

@@ -1,19 +1,29 @@
-"""The dict-adjacency Monte-Carlo oracle the compiled estimator is checked against.
+"""Reference implementations the fast paths are checked against.
 
-:class:`DictOracle` draws its worlds once with
-:func:`~repro.diffusion.live_edge.sample_worlds` and answers every query with
-one :func:`~repro.diffusion.live_edge.cascade_in_world` pass over them, on
-seeds sorted by ``str`` (the estimator's canonical order) and with no memo.
-For the same graph, world count and seed it is the reference semantics of
-:class:`~repro.diffusion.monte_carlo.MonteCarloEstimator`: identical
-activation probabilities, and expected benefits equal up to floating-point
-summation order (the oracle sums each world's benefits in set order).
+:class:`DictOracle` is the dict-adjacency Monte-Carlo oracle.  It draws its
+worlds once with :func:`~repro.diffusion.live_edge.sample_worlds` and answers
+every query with one :func:`~repro.diffusion.live_edge.cascade_in_world` pass
+over them, on seeds sorted by ``str`` (the estimator's canonical order) and
+with no memo.  For the same graph, world count and seed it is the reference
+semantics of :class:`~repro.diffusion.monte_carlo.MonteCarloEstimator`:
+identical activation probabilities, and expected benefits equal up to
+floating-point summation order (the oracle sums each world's benefits in set
+order).
+
+:func:`reference_guaranteed_paths` is GPI (Alg. 2) priced from scratch: every
+visit re-runs the uncached SC-cost recurrence for every holder of the
+tentative allocation and re-sums the visited users' benefits.  The library's
+:func:`~repro.core.guaranteed_paths.identify_guaranteed_paths` must return
+the same paths, float for float.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Set
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set
 
+from repro.core.allocation import expected_sc_cost
+from repro.core.deployment import Deployment
+from repro.core.guaranteed_paths import GPIResult, GuaranteedPath
 from repro.diffusion.live_edge import cascade_in_world, sample_worlds
 from repro.graph.social_graph import SocialGraph
 from repro.utils.rng import SeedLike
@@ -52,3 +62,82 @@ class DictOracle:
         for activated in self._cascades(seeds, allocation):
             total += sum(self.graph.benefit(node) for node in activated)
         return total / self.num_samples
+
+
+def reference_guaranteed_paths(
+    graph: SocialGraph,
+    deployment: Deployment,
+    budget_limit: float,
+    *,
+    max_paths_per_seed: Optional[int] = None,
+    max_depth: Optional[int] = None,
+) -> GPIResult:
+    """GPI with every visit priced from scratch (no SC-cost table)."""
+    result = GPIResult()
+    for seed in sorted(deployment.seeds, key=str):
+        remaining = budget_limit - graph.seed_cost(seed)
+        if remaining <= 0:
+            continue
+        _reference_traverse(
+            graph, seed, remaining, result,
+            max_paths=max_paths_per_seed, max_depth=max_depth,
+        )
+    return result
+
+
+def _reference_traverse(
+    graph: SocialGraph,
+    seed: NodeId,
+    remaining_budget: float,
+    result: GPIResult,
+    *,
+    max_paths: Optional[int],
+    max_depth: Optional[int],
+) -> None:
+    visited: Set[NodeId] = {seed}
+    visited_order: List[NodeId] = [seed]
+    children_count: Dict[NodeId, int] = {}
+    recorded = 0
+
+    def guaranteed_cost_with(candidate: NodeId, parent: NodeId) -> float:
+        tentative = dict(children_count)
+        tentative[parent] = tentative.get(parent, 0) + 1
+        return expected_sc_cost(graph, tentative)
+
+    def visit(node: NodeId, parent: NodeId, depth: int) -> bool:
+        nonlocal recorded
+        cost = guaranteed_cost_with(node, parent)
+        if cost > remaining_budget:
+            return False
+        visited.add(node)
+        visited_order.append(node)
+        children_count[parent] = children_count.get(parent, 0) + 1
+        benefit = sum(graph.benefit(v) for v in visited_order)
+        path = GuaranteedPath(
+            seed=seed,
+            terminal=node,
+            nodes=tuple(visited_order),
+            allocation=dict(children_count),
+            guaranteed_cost=cost,
+            expected_benefit=benefit,
+            parent=parent,
+            depth=depth,
+        )
+        result.add(path)
+        recorded += 1
+        return True
+
+    def dfs(node: NodeId, depth: int) -> None:
+        nonlocal recorded
+        if max_depth is not None and depth >= max_depth:
+            return
+        for child, _probability in graph.ranked_out_neighbors(node):
+            if max_paths is not None and recorded >= max_paths:
+                return
+            if child in visited:
+                continue
+            if not visit(child, node, depth + 1):
+                return
+            dfs(child, depth + 1)
+
+    dfs(seed, 0)

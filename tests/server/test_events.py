@@ -9,7 +9,9 @@ Pins the dynamic-graph contract end to end through the server:
   ``graph_compiles`` / ``estimator_builds`` counters stay at 1 and only the
   dirty worlds re-simulate (``reconciled_worlds < num_worlds``);
 * **safety** — events are refused with 409 while a solve is in flight, and
-  malformed batches land in the 422 taxonomy.
+  malformed batches land in the 422 taxonomy, as does a batch that retires
+  a seed of the resident snapshot, which leaves every resident state as it
+  was.
 """
 
 import pytest
@@ -255,6 +257,29 @@ class TestEventsSafety:
                 service.apply_events(sid, GraphEventsRequest(events=events))
             assert excinfo.value.status == 422
         assert entry.events_applied == 0
+
+    def test_retiring_a_resident_seed_is_422_and_changes_nothing(self, service):
+        sid = _registered(service)
+        result = _solved(service, sid)
+        entry = service.registry.get(sid)
+        graph = entry.scenario.graph
+        shape = (graph.num_nodes, graph.num_edges, graph.topology_version)
+        benefit = entry.last_solve.expected_benefit
+        seed = sorted(result["seeds"])[0]
+        request = _events_request(graph)
+        request = GraphEventsRequest(
+            events=[*request.events, {"type": "node_retire", "node": seed}]
+        )
+        with pytest.raises(InvalidRequest) as excinfo:
+            service.apply_events(sid, request)
+        assert excinfo.value.status == 422
+        assert entry.events_applied == 0
+        assert (graph.num_nodes, graph.num_edges, graph.topology_version) == shape
+        assert entry.last_solve.expected_benefit == benefit
+        # The resident state still answers: a budget what-if is a 200.
+        status, body = CampaignApi(service).whatif(sid, {"budget_delta": 1.0})
+        assert status == 200, body
+        assert body["modified"]["expected_benefit"] == benefit
 
 
 class TestEventsValidation:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface (run in-process with tiny settings)."""
 
+import signal
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -208,16 +210,25 @@ def test_shutdown_live_pools_closes_everything():
     not __import__("sys").platform.startswith("linux"),
     reason="watches the CLI's pool through /proc (Linux only)",
 )
-def test_sigint_mid_solve_exits_clean(tmp_path):
-    """SIGINT during a multi-worker solve: exit 130, no shm residue left.
+@pytest.mark.parametrize(
+    "signum, exit_code, message",
+    [
+        (signal.SIGINT, 130, "interrupted"),
+        (signal.SIGTERM, 143, "terminated"),
+    ],
+    ids=["SIGINT", "SIGTERM"],
+)
+def test_sigint_mid_solve_exits_clean(tmp_path, signum, exit_code, message):
+    """SIGINT or SIGTERM during a multi-worker solve: clean exit, no shm residue.
 
-    Runs the real CLI in a subprocess, interrupts it while workers are busy,
-    and checks the three acceptance properties: exit code 130, no Python
-    traceback, and no new /dev/shm/repro-* segments surviving the process.
+    Runs the real CLI in a subprocess, signals it while workers are busy,
+    and checks the three acceptance properties: exit code 130 (SIGINT) or
+    143 (SIGTERM), no Python traceback, and no new /dev/shm/repro-* segments
+    surviving the process.  The full-budget solve keeps the pool busy for
+    seconds after it starts.
     """
     import glob
     import os
-    import signal
     import subprocess
     import sys
     import time
@@ -230,8 +241,8 @@ def test_sigint_mid_solve_exits_clean(tmp_path):
     process = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "solve",
-            "--dataset", "facebook", "--scale", "1.0", "--samples", "400",
-            "--workers", "2", "--seed", "3",
+            "--dataset", "facebook", "--scale", "2.0", "--samples", "1000",
+            "--spend-full-budget", "--workers", "2", "--seed", "3",
         ],
         env=env,
         stdout=subprocess.PIPE,
@@ -263,17 +274,17 @@ def test_sigint_mid_solve_exits_clean(tmp_path):
             time.sleep(0.02)
         if process.poll() is not None:  # pragma: no cover - solve too fast
             pytest.skip("solve finished before the interrupt could land")
-        process.send_signal(signal.SIGINT)
+        process.send_signal(signum)
         try:
             _, stderr = process.communicate(timeout=30)
         except subprocess.TimeoutExpired:  # pragma: no cover - hang guard
             process.kill()
-            pytest.fail("CLI did not exit within 30s of SIGINT")
-        assert process.returncode == 130, stderr
+            pytest.fail(f"CLI did not exit within 30s of {message}")
+        assert process.returncode == exit_code, stderr
         assert "Traceback" not in stderr, stderr
-        assert "interrupted" in stderr
+        assert message in stderr
         leaked = set(glob.glob("/dev/shm/repro-*")) - before
-        assert not leaked, f"shm segments leaked past SIGINT: {sorted(leaked)}"
+        assert not leaked, f"shm segments leaked past {message}: {sorted(leaked)}"
     finally:
         if process.poll() is None:  # pragma: no cover - cleanup fallback
             os.killpg(process.pid, signal.SIGKILL)
