@@ -342,8 +342,6 @@ def test_greedy_tiered_screening_speedup(report):
         "confirmed": stats["confirmed_candidates"],
         "screened_out": stats["screened_out_candidates"],
         "screening_batches": stats["screening_batches"],
-        "speculative_evals": stats["speculative_evals"],
-        "speculative_hits": stats["speculative_hits"],
         "identical_deployment": True,
     }
     text = format_table(

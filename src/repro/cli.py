@@ -340,8 +340,6 @@ def cmd_solve(args: argparse.Namespace) -> str:
     if result.tier_stats:
         row["screened"] = result.tier_stats["screened_candidates"]
         row["confirmed"] = result.tier_stats["confirmed_candidates"]
-        row["spec_evals"] = result.tier_stats["speculative_evals"]
-        row["spec_hits"] = result.tier_stats["speculative_hits"]
     return format_table([row], title=f"S3CA on {scenario.describe()}")
 
 

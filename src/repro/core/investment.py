@@ -40,13 +40,7 @@ the delta-evaluation engine:
   re-simulated at all — their priority is re-derived from the stored count
   delta (bit-identical to a fresh evaluation);
 * stale candidates are marked with an infinite priority so they are
-  re-evaluated exactly when they surface at the top of the heap;
-* when the estimator carries an RR sketch (the two-tier estimator), the first
-  stale-top evaluation of a selection also speculatively freshens the few
-  stale candidates the sketch ranks highest — the likely next heap tops —
-  front-loading evaluations the loop was about to demand without ever
-  changing which candidate wins (speculative evals/hits are counted on the
-  estimator).
+  re-evaluated exactly when they surface at the top of the heap.
 
 A previous evaluation of candidate ``u`` is invalidated only when the
 accepted investment could have changed it: the accepted node *is* ``u``; a
@@ -89,10 +83,6 @@ from repro.utils.indexed_heap import IndexedMaxHeap
 NodeId = Hashable
 
 _STALE = float("inf")
-
-#: Stale candidates speculatively freshened per lazy selection when the
-#: estimator carries an RR sketch (see ``_speculate``).
-_SPECULATION_DEPTH = 3
 
 
 @dataclass
@@ -176,14 +166,6 @@ class InvestmentDeployment:
         follow the estimator's capability; forced ``True`` on an estimator
         without delta support silently degrades to eager).  The selected
         deployment is bit-identical either way.
-    pivot_prescreener:
-        Optional cheap upper-bound estimator (typically the RR-set backed
-        :class:`~repro.diffusion.rr_sets.RRBenefitEstimator`) used to rank
-        pivot candidates *before* any Monte-Carlo evaluation is paid.  Its
-        singleton-seed benefit bounds replace the degree/benefit heuristic
-        that decides which users receive the expensive treatment when
-        ``max_pivot_candidates`` caps the queue.  Changing the ranking can
-        change which pivots are considered, so this is off by default.
     """
 
     def __init__(
@@ -195,7 +177,6 @@ class InvestmentDeployment:
         max_pivot_candidates: Optional[int] = None,
         activation_threshold: float = 0.0,
         incremental: Optional[bool] = None,
-        pivot_prescreener: Optional[BenefitEstimator] = None,
     ) -> None:
         self.scenario = scenario
         self.graph = scenario.graph
@@ -205,7 +186,6 @@ class InvestmentDeployment:
         self.candidate_limit = candidate_limit
         self.max_pivot_candidates = max_pivot_candidates
         self.activation_threshold = activation_threshold
-        self.pivot_prescreener = pivot_prescreener
         self._sc_cost_cache: Dict[Tuple[NodeId, int], float] = {}
         self.explored_nodes: Set[NodeId] = set()
         self._lazy = _LazyCouponQueue()
@@ -234,21 +214,11 @@ class InvestmentDeployment:
                 continue
             eligible.append((node, seed_cost))
         # Cheap pre-score, used only to bound how many users get the
-        # expensive Monte-Carlo treatment: either the node's stand-alone
-        # benefit per seed cost, or — with a prescreener — an upper bound
-        # on its full singleton spread (the RR-set estimate prices the
-        # unlimited-coupon relaxation, which dominates the SC-constrained
-        # benefit).  The prescreener prices the whole eligible set as one
-        # batch through its scheduler rather than one call per node.
-        if self.pivot_prescreener is not None:
-            bounds = self.pivot_prescreener.submit_many(
-                [([node], {}) for node, _ in eligible]
-            )
-        else:
-            bounds = [self.graph.benefit(node) for node, _ in eligible]
+        # expensive Monte-Carlo treatment: the node's stand-alone benefit per
+        # seed cost.
         scored: List[Tuple[float, NodeId]] = [
-            (bound / seed_cost, node)
-            for (node, seed_cost), bound in zip(eligible, bounds)
+            (self.graph.benefit(node) / seed_cost, node)
+            for node, seed_cost in eligible
         ]
         scored.sort(key=lambda item: (-item[0], str(item[1])))
         if self.max_pivot_candidates is not None:
@@ -535,30 +505,11 @@ class InvestmentDeployment:
             lazy.fresh[node] = iteration
             lazy.refreshed[node] = benefit_new
 
-        sketch = getattr(self.estimator, "sketch", None)
-        speculated: Set[NodeId] = set()
-        speculation_spent = sketch is None
-
         while heap:
             node, _ = heap.peek()
             if lazy.fresh.get(node) != iteration:
                 self._lazy_evaluate(deployment, node, base_benefit)
-                if not speculation_spent:
-                    # The heap top was stale, so this selection is paying for
-                    # fresh delta evaluations anyway: speculatively freshen
-                    # the stale candidates the sketch ranks highest — the
-                    # likely next tops — in the same pass.  Replacing their
-                    # stale sentinel with an exact ratio never changes which
-                    # candidate ultimately wins (CELF exactness), it only
-                    # front-loads evaluations the loop was about to demand.
-                    speculation_spent = True
-                    self._speculate(deployment, base_benefit, sketch, speculated)
                 continue
-            if node in speculated:
-                speculated.discard(node)
-                note_hit = getattr(self.estimator, "note_speculative_hit", None)
-                if note_hit is not None:
-                    note_hit()
             top_ratio = heap.priority(node)
             ties = [n for n in heap if heap.priority(n) == top_ratio]
             # A genuinely infinite fresh ratio can collide with the stale
@@ -599,40 +550,10 @@ class InvestmentDeployment:
             # every tied candidate was retired; reconsider the rest
         return None
 
-    def _speculate(
-        self,
-        deployment: Deployment,
-        base_benefit: float,
-        sketch,
-        speculated: Set[NodeId],
-    ) -> None:
-        """Freshen the stale candidates the sketch scores highest.
-
-        The RR singleton bound orders stale heap entries by how much plain-IC
-        influence their holder commands — a cheap proxy for which of them will
-        surface at the top of the CELF heap next.  Each one evaluated here is
-        one blocking evaluation the selection loop no longer has to pay when
-        (if) it reaches that candidate; hits are counted when it does.
-        """
-        lazy = self._lazy
-        iteration = lazy.iteration
-        stale = [
-            node for node in lazy.heap if lazy.fresh.get(node) != iteration
-        ]
-        if not stale:
-            return
-        stale.sort(key=lambda node: (-sketch.singleton_bound(node), str(node)))
-        note_eval = getattr(self.estimator, "note_speculative_eval", None)
-        for node in stale[:_SPECULATION_DEPTH]:
-            if note_eval is not None:
-                note_eval()
-            if self._lazy_evaluate(deployment, node, base_benefit):
-                speculated.add(node)
-
     def _lazy_evaluate(
         self, deployment: Deployment, node: NodeId, base_benefit: float
-    ) -> bool:
-        """Fresh delta evaluation of ``node``; returns False if it was retired."""
+    ) -> None:
+        """Fresh delta evaluation of ``node``; retires it at one coupon per friend."""
         lazy = self._lazy
         evaluation = self.marginal.of_extra_coupon(
             deployment, node, base_benefit=base_benefit
@@ -641,7 +562,7 @@ class InvestmentDeployment:
             lazy.heap.remove(node)
             lazy.dead.add(node)
             lazy.records.pop(node, None)
-            return False
+            return
         lazy.heap.update(node, evaluation.ratio)
         lazy.fresh[node] = lazy.iteration
         lazy.evaluations[node] = evaluation
@@ -649,7 +570,6 @@ class InvestmentDeployment:
             lazy.records[node] = evaluation.delta
         else:
             lazy.records.pop(node, None)
-        return True
 
     def _invalidated(
         self,

@@ -58,9 +58,9 @@ class S3CAResult:
     num_paths: int
     num_maneuvers: int
     phase_seconds: Dict[str, float] = field(default_factory=dict)
-    #: Screening/speculation counters of the two-tier estimator (empty for
-    #: untiered runs): screened/confirmed/screened-out candidate counts,
-    #: screening batches, speculative evals and hits.
+    #: Screening counters of the two-tier estimator (empty for untiered
+    #: runs): screened/confirmed/screened-out candidate counts and screening
+    #: batches.
     tier_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -130,12 +130,6 @@ class S3CA:
         it on whenever the estimator supports it; the selected deployment is
         bit-identical to the eager full-resimulation path either way, only
         faster.  Pass ``False`` to force the eager path.
-    rr_prescreen:
-        Pre-rank the pivot candidates with a cheap RR-set upper bound before
-        any Monte-Carlo evaluation is paid (only meaningful together with
-        ``max_pivot_candidates``).  Changes which pivots are considered, so
-        off by default.  On a tiered estimator the resident sketch serves as
-        the prescreener instead of sampling a second one.
     """
 
     def __init__(
@@ -154,10 +148,8 @@ class S3CA:
         enable_scm: bool = True,
         spend_full_budget: bool = False,
         incremental: Optional[bool] = None,
-        rr_prescreen: bool = False,
     ) -> None:
         self.scenario = scenario
-        self.seed = seed
         self.estimator = estimator or make_estimator(
             scenario, estimator_method, num_samples=num_samples, seed=seed
         )
@@ -177,24 +169,12 @@ class S3CA:
         self.enable_scm = enable_scm
         self.spend_full_budget = spend_full_budget
         self.incremental = incremental
-        self.rr_prescreen = rr_prescreen
-        self._prescreener: Optional[BenefitEstimator] = None
 
     # ------------------------------------------------------------------
 
     def solve(self) -> S3CAResult:
         """Run all three phases and return the result."""
         phase_seconds: Dict[str, float] = {}
-
-        prescreener = None
-        if self.rr_prescreen:
-            if self._prescreener is None:
-                # A tiered estimator already carries an RR sketch over this
-                # graph; reuse it instead of sampling a second one.
-                self._prescreener = getattr(
-                    self.estimator, "sketch", None
-                ) or make_estimator(self.scenario, "rr", seed=self.seed)
-            prescreener = self._prescreener
 
         with Timer() as timer:
             investment = InvestmentDeployment(
@@ -203,7 +183,6 @@ class S3CA:
                 candidate_limit=self.candidate_limit,
                 max_pivot_candidates=self.max_pivot_candidates,
                 incremental=self.incremental,
-                pivot_prescreener=prescreener,
             )
             id_result = investment.run()
         phase_seconds["investment_deployment"] = timer.elapsed

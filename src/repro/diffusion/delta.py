@@ -30,25 +30,38 @@ Bit-identical parity
 All bookkeeping is integer activation counts, so splicing is exact: the
 resulting count vector equals the one a fresh
 :meth:`~repro.diffusion.engine.CompiledCascadeEngine.run` would produce, and
-the expected benefit is computed with the same ``counts @ benefits /
-num_worlds`` expression — the delta path is bit-for-bit identical to the full
-pass, not merely close.  :class:`DeltaOutcome` additionally carries the
-sparse count delta so a caller can cheaply *re-derive* the benefit against a
-newer snapshot (see :meth:`DeltaCascadeEngine.refresh_benefit`), plus the
-re-simulated world indices and the coupon-limited nodes observed inside them
-— the ingredients of the exact cache-invalidation rule used by the CELF lazy
-queue in :mod:`repro.core.investment`.
+the expected benefit comes from the engine's one benefit expression,
+:meth:`~repro.diffusion.engine.CompiledCascadeEngine.benefit_of` — the delta
+path is bit-for-bit identical to the full pass, not merely close.
+:class:`DeltaOutcome` additionally carries the sparse count delta so a
+caller can cheaply *re-derive* the benefit against a newer snapshot (see
+:meth:`DeltaCascadeEngine.refresh_benefit`), plus the re-simulated world
+indices and the coupon-limited nodes observed inside them — the ingredients
+of the exact cache-invalidation rule used by the CELF lazy queue in
+:mod:`repro.core.investment`.
+
+One owner of the snapshot
+-------------------------
+:class:`DeltaCascadeEngine` is the only code that reads or writes its
+snapshot state.  The base deployment is recorded in one place
+(``_record_base``), and every recorded world — its activation queue, its
+coupon-limited list and its entries in both node→world indexes — is replaced
+through one primitive (``_replace_world``), whether a coupon splice, a seed
+splice or a graph-event reconcile moves it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.diffusion.engine import CompiledCascadeEngine
 from repro.exceptions import EstimationError
+from repro.graph.events import EventApplication
 
 NodeId = Hashable
 
@@ -182,25 +195,7 @@ class DeltaCascadeEngine:
         node's coupon-limited worlds for later delta queries.
         """
         engine = self.engine
-        compiled = engine.compiled
-        num_nodes = compiled.num_nodes
-
-        # Same canonical seed order as CompiledCascadeEngine.run, so every
-        # delta query built from an equal seed set matches the snapshot.  The
-        # identifier list is kept too: graph-event reconciliation re-resolves
-        # it against the evolved graph.
-        self._base_seeds = sorted(seeds, key=str)
-        self._base_seed_indices = compiled.indices_of(self._base_seeds)
-        self._base_alloc = {
-            node: int(count) for node, count in allocation.items() if int(count) > 0
-        }
-        coupons = [0] * num_nodes
-        index = compiled.index
-        for node, count in self._base_alloc.items():
-            position = index.get(node)
-            if position is not None:
-                coupons[position] = count
-        self._base_coupons = coupons
+        self._record_base(seeds, allocation)
 
         queues: List[List[int]] = []
         limited_lists: List[List[int]] = []
@@ -209,7 +204,7 @@ class DeltaCascadeEngine:
         flat: List[int] = []
         if self._base_seed_indices:
             instrumented = engine.cascade_worlds_instrumented(
-                range(engine.num_worlds), self._base_seed_indices, coupons
+                range(engine.num_worlds), self._base_seed_indices, self._base_coupons
             )
             for world_index, (queue, limited) in enumerate(instrumented):
                 queues.append(queue)
@@ -223,14 +218,8 @@ class DeltaCascadeEngine:
             queues = [[] for _ in range(engine.num_worlds)]
             limited_lists = [[] for _ in range(engine.num_worlds)]
 
-        counts = np.bincount(
-            np.asarray(flat, dtype=np.int64), minlength=num_nodes
-        )
-        benefit = (
-            float(counts @ compiled.benefits) / engine.num_worlds
-            if self._base_seed_indices
-            else 0.0
-        )
+        counts = _bincount(flat, engine.compiled.num_nodes)
+        benefit = engine.benefit_of(counts) if self._base_seed_indices else 0.0
         self._base_queues = queues
         self._base_limited = limited_lists
         self._base_counts = counts
@@ -330,48 +319,39 @@ class DeltaCascadeEngine:
 
         seed_coupons = new_alloc.get(node, 0)
         active = self._active_worlds.get(position, [])
+        # The worlds where ``node`` is inactive but holds live out-edges: a
+        # coupon-carrying seed can spread there (re-simulate them, after the
+        # active worlds, in ascending order), while a zero-coupon seed is
+        # coupon-limited there at its dequeue.  One scan of the shard blocks
+        # in order (bounded memory under sharding); the per-world live-edge
+        # test is one vectorized column compare on the block's flat offsets.
+        live_inactive: List[int] = []
+        if (seed_coupons > 0 or collect_clean_limited) and (
+            compiled.indptr[position + 1] > compiled.indptr[position]
+        ):
+            active_set = set(active)
+            for start, count, block in engine.world_blocks():
+                has_live = block.offsets[:count, position + 1] > (
+                    block.offsets[:count, position]
+                )
+                for slot in np.flatnonzero(has_live).tolist():
+                    if start + slot not in active_set:
+                        live_inactive.append(start + slot)
         dirty = list(active)
-        clean = 0
         clean_limited: List[int] = []
         if seed_coupons > 0:
-            active_set = set(active)
-            # Scan shard blocks in order (bounded memory under sharding) and
-            # keep the historic ascending world order in `dirty`.  The
-            # per-world live-out-edge test is one vectorized column compare
-            # on the block's flat offsets array.  Clean worlds here hold no
-            # live out-edges for the node, so it is never coupon-limited in
-            # them: clean_limited stays empty.
-            for start, count, block in engine.world_blocks():
-                has_live = block.offsets[:, position + 1] > block.offsets[:, position]
-                for slot in range(count):
-                    world_index = start + slot
-                    if world_index in active_set:
-                        continue
-                    if has_live[slot]:
-                        dirty.append(world_index)
-                    else:
-                        clean += 1
+            dirty.extend(live_inactive)
         else:
-            clean = engine.num_worlds - len(active)
-            if collect_clean_limited and compiled.indptr[position + 1] > compiled.indptr[position]:
-                # A zero-coupon seed is coupon-limited at its dequeue in every
-                # world where it holds at least one live out-edge.
-                active_set = set(active)
-                for start, count, block in engine.world_blocks():
-                    has_live = (
-                        block.offsets[:, position + 1] > block.offsets[:, position]
-                    )
-                    for slot in range(count):
-                        world_index = start + slot
-                        if world_index in active_set:
-                            continue
-                        if has_live[slot]:
-                            clean_limited.append(world_index)
+            clean_limited = live_inactive
 
         coupons = list(self._base_coupons)
         coupons[position] = seed_coupons
         outcome = self._splice(
-            dirty, new_seed_indices, coupons, clean_node=position, clean_count=clean
+            dirty,
+            new_seed_indices,
+            coupons,
+            clean_node=position,
+            clean_count=engine.num_worlds - len(dirty),
         )
         if collect_clean_limited:
             outcome.clean_limited = tuple(clean_limited)
@@ -390,7 +370,7 @@ class DeltaCascadeEngine:
         counts = self._base_counts.copy()
         if outcome.delta_index is not None and outcome.delta_index.size:
             counts[outcome.delta_index] += outcome.delta_values
-        return float(counts @ self.engine.compiled.benefits) / self.engine.num_worlds
+        return self.engine.benefit_of(counts)
 
     # ------------------------------------------------------------------
     # surgical snapshot advancement
@@ -410,14 +390,13 @@ class DeltaCascadeEngine:
         loop hands back the evaluation it just accepted.  Instead of running
         a fresh instrumented pass over every world (O(num_samples) per greedy
         step), the outcome's already re-simulated worlds are grafted into the
-        snapshot: ``base_queues`` / ``base_limited`` are replaced for the
-        dirty worlds only, the per-node ``active_worlds`` / ``limited_worlds``
-        indices are updated surgically (sorted order preserved, exactly as a
-        fresh ascending world scan would build them), the count vector is
-        advanced by the outcome's sparse delta and the benefit is re-derived
-        with the engine's canonical expression.  The resulting snapshot state
-        is **identical** — queues, indices, counts and benefit, bit for bit —
-        to calling :meth:`snapshot` on the new deployment from scratch.
+        snapshot: each dirty world is replaced through ``_replace_world``
+        (which keeps the per-node world indexes sorted, exactly as a fresh
+        ascending world scan builds them), the count vector is advanced by
+        the outcome's sparse delta and the benefit is re-derived with
+        :meth:`CompiledCascadeEngine.benefit_of`.  The resulting snapshot
+        state is **identical** — queues, indices, counts and benefit, bit for
+        bit — to calling :meth:`snapshot` on the new deployment from scratch.
 
         A reused (CELF-refreshed) outcome is equally valid: the lazy queue's
         invalidation rule guarantees its per-world re-simulations still equal
@@ -440,52 +419,22 @@ class DeltaCascadeEngine:
         new_alloc = _normalize(new_allocation)
         if not _single_increase(self._base_alloc, new_alloc, node):
             return None
-        position = compiled.index.get(node)
-        if position is None:
-            # Unknown coupon holders never reach the cascade: the deployment
-            # bookkeeping moves, the worlds do not.
-            if outcome.dirty_worlds:
-                return None
-            self._base_alloc = new_alloc
-            self.spliced_advances += 1
-            return self.base_benefit
         # The outcome's dirty set must be exactly what the *current* snapshot
-        # says an extra coupon on ``node`` can change — refuses stale records
-        # the lazy queue's invalidation rule would have rejected.
+        # says an extra coupon on ``node`` can change (nothing, for an unknown
+        # holder: it never reaches the cascade) — refuses stale records the
+        # lazy queue's invalidation rule would have rejected.
+        position = compiled.index.get(node)
         if outcome.dirty_worlds != tuple(self._limited_worlds.get(position, ())):
             return None
 
-        active_worlds = self._active_worlds
-        limited_worlds = self._limited_worlds
-        base_queues = self._base_queues
-        base_limited = self._base_limited
         for world_index in outcome.dirty_worlds:
-            new_queue = outcome.world_queues[world_index]
-            new_limited = outcome.world_limited[world_index]
-            old_active = set(base_queues[world_index])
-            new_active = set(new_queue)
-            for node_index in old_active - new_active:
-                _sorted_remove(active_worlds, node_index, world_index)
-            for node_index in new_active - old_active:
-                insort(active_worlds.setdefault(node_index, []), world_index)
-            old_lim = set(base_limited[world_index])
-            new_lim = set(new_limited)
-            for node_index in old_lim - new_lim:
-                _sorted_remove(limited_worlds, node_index, world_index)
-            for node_index in new_lim - old_lim:
-                insort(limited_worlds.setdefault(node_index, []), world_index)
-            base_queues[world_index] = list(new_queue)
-            base_limited[world_index] = list(new_limited)
-
-        if outcome.delta_index is not None and outcome.delta_index.size:
-            self._base_counts[outcome.delta_index] += outcome.delta_values
-        self._base_alloc = new_alloc
-        self._base_coupons[position] = new_alloc[node]
-        self.base_benefit = (
-            float(self._base_counts @ compiled.benefits) / self.engine.num_worlds
-        )
+            self._replace_world(
+                world_index,
+                outcome.world_queues[world_index],
+                outcome.world_limited[world_index],
+            )
         self.spliced_advances += 1
-        return self.base_benefit
+        return self._advance(outcome, new_seeds, new_alloc)
 
     def splice_base_new_seed(
         self,
@@ -560,34 +509,22 @@ class DeltaCascadeEngine:
         if any(world in active_set for world in extras):
             return None
 
-        active_worlds = self._active_worlds
-        limited_worlds = self._limited_worlds
-        base_queues = self._base_queues
-        base_limited = self._base_limited
         for world_index in outcome.dirty_worlds:
-            new_queue = outcome.world_queues[world_index]
-            new_limited = outcome.world_limited[world_index]
-            old_active = set(base_queues[world_index])
-            new_active = set(new_queue)
-            for node_index in old_active - new_active:
-                _sorted_remove(active_worlds, node_index, world_index)
-            for node_index in new_active - old_active:
-                insort(active_worlds.setdefault(node_index, []), world_index)
-            old_lim = set(base_limited[world_index])
-            new_lim = set(new_limited)
-            for node_index in old_lim - new_lim:
-                _sorted_remove(limited_worlds, node_index, world_index)
-            for node_index in new_lim - old_lim:
-                insort(limited_worlds.setdefault(node_index, []), world_index)
-            base_queues[world_index] = list(new_queue)
-            base_limited[world_index] = list(new_limited)
+            self._replace_world(
+                world_index,
+                outcome.world_queues[world_index],
+                outcome.world_limited[world_index],
+            )
 
         # Clean worlds: base cascade untouched, bookkeeping only.
+        base_queues = self._base_queues
+        base_limited = self._base_limited
+        limited_worlds = self._limited_worlds
         queue_slot = new_seed_indices.index(position)
         prefix = set(new_seed_indices[:queue_slot])
         dirty_set = set(outcome.dirty_worlds)
         clean_limited_set = set(outcome.clean_limited)
-        node_active = active_worlds.setdefault(position, [])
+        node_active = self._active_worlds.setdefault(position, [])
         for world_index in range(self.engine.num_worlds):
             if world_index in dirty_set:
                 continue
@@ -604,38 +541,157 @@ class DeltaCascadeEngine:
                 limited.insert(slot, position)
                 insort(limited_worlds.setdefault(position, []), world_index)
 
-        if outcome.delta_index is not None and outcome.delta_index.size:
-            self._base_counts[outcome.delta_index] += outcome.delta_values
-        self._base_seed_indices = new_seed_indices
-        self._base_alloc = new_alloc
-        self._base_coupons[position] = seed_coupons
-        self.base_benefit = (
-            float(self._base_counts @ compiled.benefits) / self.engine.num_worlds
-        )
         self.spliced_seed_advances += 1
-        return self.base_benefit
+        return self._advance(outcome, new_seeds, new_alloc)
 
-    def reconcile(self, application, dirty_mask: np.ndarray) -> Optional[float]:
+    # ------------------------------------------------------------------
+    # graph events
+    # ------------------------------------------------------------------
+
+    def refuse_retired_base(self, retired: Iterable[int]) -> None:
+        """Raise :class:`EstimationError` if ``retired`` removes part of the base.
+
+        ``retired`` holds node indices in the snapshot's index space.  A
+        retired base seed or coupon holder has no well-defined
+        reconciliation: the deployment itself referenced the removed node.
+        The estimator runs this before it applies a batch, so a refused batch
+        changes nothing.
+        """
+        retired_set = set(retired)
+        for seed_index in self._base_seed_indices:
+            if seed_index in retired_set:
+                raise EstimationError(
+                    f"cannot reconcile: base seed at old index {seed_index} "
+                    f"was retired by the event batch"
+                )
+        for old_index in retired_set:
+            if self._base_coupons[old_index] > 0:
+                raise EstimationError(
+                    f"cannot reconcile: retired node index {old_index} "
+                    f"holds base coupons"
+                )
+
+    def reconcile(
+        self, application: EventApplication, dirty_mask: np.ndarray
+    ) -> Tuple[float, bool]:
         """Advance the snapshot across a graph-event application.
 
         The engine must already have been evolved
         (:meth:`CompiledCascadeEngine.apply_events`); ``dirty_mask`` flags
-        the worlds whose live-edge draws touch a changed edge.  Only those
-        are re-simulated — the clean worlds' recorded queues, limited lists
-        and per-node world indices are carried over (index-remapped when
-        nodes were retired) by pure bookkeeping.  The resulting snapshot
-        state is bit-identical to :meth:`snapshot` on the new graph from
-        scratch; see :mod:`repro.diffusion.reconcile` for the argument.
+        the worlds whose live-edge draws touch a changed edge (see
+        :mod:`repro.diffusion.reconcile` for why no other world can change).
+        Only those are re-simulated — the clean worlds' recorded queues,
+        limited lists and per-node world indices are carried over
+        (index-remapped when nodes were retired) by pure bookkeeping.  The
+        resulting snapshot state is bit-identical to :meth:`snapshot` on the
+        new graph from scratch.
 
-        Returns the new base benefit, or ``None`` when the deployment does
-        not survive the remap cleanly (e.g. a previously-unknown seed id now
-        resolves) — the caller then falls back to a fresh :meth:`snapshot`.
-        Raises :class:`EstimationError` when the batch retired a base seed
-        or an active coupon holder, which has no well-defined reconciliation.
+        Returns ``(base_benefit, reconciled)``.  ``reconciled`` is ``False``
+        when the deployment does not survive the remap cleanly (e.g. a
+        previously-unknown seed id now resolves): the recorded deployment is
+        then re-snapshotted with a full pass.  Raises
+        :class:`EstimationError` when the batch retired a base seed or an
+        active coupon holder, which has no well-defined reconciliation.
         """
-        from repro.diffusion.reconcile import reconcile_snapshot
+        engine = self.engine
+        compiled = engine.compiled
+        num_nodes = compiled.num_nodes
+        remap = application.remap
+        self.refuse_retired_base(application.retired)
 
-        return reconcile_snapshot(self, application, dirty_mask)
+        # The deployment re-resolved on the evolved graph must be exactly the
+        # old resolution pushed through the remap.  A previously-unknown seed
+        # id that now resolves (or a retired-then-re-added one) would have to
+        # be inserted into every clean world's queue — a different operation;
+        # a fresh snapshot pass covers those.
+        remapped_seeds = [int(remap[i]) for i in self._base_seed_indices]
+        if compiled.indices_of(self._base_seeds) != remapped_seeds:
+            _, benefit = self.snapshot(self._base_seeds, self._base_alloc)
+            return benefit, False
+
+        dirty = np.flatnonzero(np.asarray(dirty_mask, dtype=bool)).tolist()
+        counts = self._base_counts - _bincount(
+            [node for world in dirty for node in self._base_queues[world]],
+            application.old_num_nodes,
+        )
+        if application.identity_remap:
+            # No node was retired, so indices are unchanged (added nodes
+            # append): each dirty world is replaced once below, by an
+            # old→new difference.
+            counts = np.concatenate(
+                [counts, np.zeros(num_nodes - counts.size, dtype=np.int64)]
+            )
+        else:
+            counts = self._remap_clean_worlds(application, dirty, counts)
+
+        # Re-resolve the identifier-keyed deployment on the evolved graph —
+        # exactly what a cold snapshot does (including coupon holders that
+        # only now resolve: they are never active in a clean world, so only
+        # the dirty re-simulations below can see them).
+        self._record_base(self._base_seeds, self._base_alloc)
+        added: List[int] = []
+        if self._base_seed_indices and dirty:
+            instrumented = engine.cascade_worlds_instrumented(
+                dirty, self._base_seed_indices, self._base_coupons
+            )
+            for world_index, (queue, limited) in zip(dirty, instrumented):
+                added.extend(queue)
+                self._replace_world(world_index, queue, limited)
+
+        self._base_counts = counts + _bincount(added, num_nodes)
+        self.base_benefit = (
+            engine.benefit_of(self._base_counts) if self._base_seed_indices else 0.0
+        )
+        self.reconcile_passes += 1
+        self.reconciled_worlds += len(dirty)
+        return self.base_benefit, True
+
+    def _remap_clean_worlds(
+        self, application: EventApplication, dirty: List[int], counts: np.ndarray
+    ) -> np.ndarray:
+        """Un-record ``dirty`` and move every clean world into the new index space.
+
+        ``counts`` already excludes the dirty worlds; returns it remapped.  A
+        retired node can only ever be active (or limited) in dirty worlds —
+        activation needs a live in-edge, and a live dropped edge marks the
+        world dirty — so once they are un-recorded nothing may reference a
+        retired index.
+        """
+        for world_index in dirty:
+            self._replace_world(world_index, [], [])
+        if counts[list(application.retired)].any():
+            raise EstimationError(
+                "snapshot splice inconsistency: a retired node is still "
+                "counted in a clean world"
+            )
+        remap = application.remap
+        translate = remap.tolist()
+        for worlds_by_node in (self._active_worlds, self._limited_worlds):
+            if any(translate[node_index] < 0 for node_index in worlds_by_node):
+                raise EstimationError(
+                    "snapshot splice inconsistency: a retired node still "
+                    "indexes a clean world"
+                )
+        self._active_worlds = {
+            translate[node_index]: worlds
+            for node_index, worlds in self._active_worlds.items()
+        }
+        self._limited_worlds = {
+            translate[node_index]: worlds
+            for node_index, worlds in self._limited_worlds.items()
+        }
+        self._base_queues = [
+            [translate[node_index] for node_index in queue]
+            for queue in self._base_queues
+        ]
+        self._base_limited = [
+            [translate[node_index] for node_index in limited]
+            for limited in self._base_limited
+        ]
+        remapped = np.zeros(self.engine.compiled.num_nodes, dtype=np.int64)
+        survivors = np.flatnonzero(remap >= 0)
+        remapped[remap[survivors]] = counts[survivors]
+        return remapped
 
     # ------------------------------------------------------------------
     # internals
@@ -644,6 +700,59 @@ class DeltaCascadeEngine:
     def _require_snapshot(self) -> None:
         if self._base_counts is None:
             raise EstimationError("DeltaCascadeEngine has no snapshot yet")
+
+    def _record_base(
+        self, seeds: Iterable[NodeId], allocation: Mapping[NodeId, int]
+    ) -> None:
+        """Record the base deployment: the one place it is written.
+
+        Keeps the identifier seeds, their compiled indices, the positive
+        allocation and the dense coupon vector in step.  Seeds take the
+        canonical order of :meth:`CompiledCascadeEngine.run`, so every delta
+        query built from an equal seed set matches the snapshot; the
+        identifiers are kept because graph-event reconciliation re-resolves
+        them against the evolved graph.
+        """
+        compiled = self.engine.compiled
+        self._base_seeds = sorted(seeds, key=str)
+        self._base_seed_indices = compiled.indices_of(self._base_seeds)
+        self._base_alloc = _normalize(allocation)
+        coupons = [0] * compiled.num_nodes
+        index = compiled.index
+        for node, count in self._base_alloc.items():
+            position = index.get(node)
+            if position is not None:
+                coupons[position] = count
+        self._base_coupons = coupons
+
+    def _replace_world(
+        self, world_index: int, queue: Sequence[int], limited: Sequence[int]
+    ) -> None:
+        """Replace one world's recorded queue and coupon-limited list.
+
+        Both node→world indexes move by the old→new difference, so every
+        index list stays sorted and emptied keys are dropped — exactly as a
+        fresh ascending world scan builds them.
+        """
+        _reindex(self._active_worlds, world_index, self._base_queues[world_index], queue)
+        _reindex(
+            self._limited_worlds, world_index, self._base_limited[world_index], limited
+        )
+        self._base_queues[world_index] = list(queue)
+        self._base_limited[world_index] = list(limited)
+
+    def _advance(
+        self,
+        outcome: DeltaOutcome,
+        seeds: Iterable[NodeId],
+        allocation: Mapping[NodeId, int],
+    ) -> float:
+        """Finish a splice: apply the outcome's count delta, record the new base."""
+        if outcome.delta_index.size:
+            self._base_counts[outcome.delta_index] += outcome.delta_values
+        self._record_base(seeds, allocation)
+        self.base_benefit = self.engine.benefit_of(self._base_counts)
+        return self.base_benefit
 
     def _unchanged(self) -> DeltaOutcome:
         empty = np.empty(0, dtype=np.int64)
@@ -691,14 +800,10 @@ class DeltaCascadeEngine:
         if clean_node is not None and clean_count:
             counts[clean_node] += clean_count
         if removed:
-            counts -= np.bincount(
-                np.asarray(removed, dtype=np.int64), minlength=num_nodes
-            )
+            counts -= _bincount(removed, num_nodes)
         if added:
-            counts += np.bincount(
-                np.asarray(added, dtype=np.int64), minlength=num_nodes
-            )
-        benefit = float(counts @ compiled.benefits) / engine.num_worlds
+            counts += _bincount(added, num_nodes)
+        benefit = engine.benefit_of(counts)
 
         delta = counts - self._base_counts
         delta_index = np.flatnonzero(delta)
@@ -730,6 +835,27 @@ class DeltaCascadeEngine:
             touched=frozenset(),
             exact=False,
         )
+
+
+def _bincount(flat: Sequence[int], length: int) -> np.ndarray:
+    """Per-node activation counts of a flat list of node indices."""
+    return np.bincount(np.asarray(flat, dtype=np.int64), minlength=length)
+
+
+def _reindex(
+    worlds_by_node: Dict[int, List[int]],
+    world_index: int,
+    old: Sequence[int],
+    new: Sequence[int],
+) -> None:
+    """Move ``world_index`` from the sorted lists of ``old``'s nodes to ``new``'s."""
+    if old == new:
+        return
+    old_nodes, new_nodes = set(old), set(new)
+    for node_index in old_nodes - new_nodes:
+        _sorted_remove(worlds_by_node, node_index, world_index)
+    for node_index in new_nodes - old_nodes:
+        insort(worlds_by_node.setdefault(node_index, []), world_index)
 
 
 def _sorted_remove(

@@ -930,8 +930,8 @@ class CompiledCascadeEngine:
         Worlds are processed shard by shard — serially, or fanned out over
         the worker pool when ``workers > 1``.  The per-shard activation
         counts are integers and are reduced in shard order, so the resulting
-        count vector (and hence the benefit, computed with the same final
-        expression) is bit-identical for every shard size and worker count.
+        count vector (and hence the benefit, computed by :meth:`benefit_of`)
+        is bit-identical for every shard size and worker count.
 
         Seed *order* is canonicalised (sorted by ``str``) before the cascade:
         the queue order is seed-order dependent, and every consumer — the
@@ -940,6 +940,15 @@ class CompiledCascadeEngine:
         Use :meth:`cascade_world` directly for explicit-order experiments.
         """
         return self.submit(seeds, allocation).result()
+
+    def benefit_of(self, counts: np.ndarray) -> float:
+        """Expected benefit of an activation-count vector over this engine's worlds.
+
+        The library's only benefit expression: full passes, pipelined runs,
+        delta splices and reconciles all derive their benefit here, so equal
+        integer counts always give bit-identical benefits.
+        """
+        return float(counts @ self.compiled.benefits) / self.num_worlds
 
     def submit(
         self, seeds: Iterable[NodeId], allocation: Mapping[NodeId, int]
@@ -971,8 +980,7 @@ class CompiledCascadeEngine:
             pending = self._ensure_executor().submit(seed_indices, coupon_items)
             return PendingRun(self, pending=pending)
         counts = self._run_serial(seed_indices, coupon_items)
-        benefit = float(counts @ compiled.benefits) / self.num_worlds
-        return PendingRun(self, result=(counts, benefit))
+        return PendingRun(self, result=(counts, self.benefit_of(counts)))
 
     def _run_serial(
         self, seed_indices: List[int], coupon_items: List[Tuple[int, int]]
@@ -1223,8 +1231,8 @@ class PendingRun:
     :meth:`result` returns exactly what
     :meth:`CompiledCascadeEngine.run` would have returned for the same
     inputs — ``(activation_counts, expected_benefit)`` — computing the
-    benefit with the engine's canonical ``counts @ benefits / num_worlds``
-    expression, so pipelined results are bit-identical to sequential ones.
+    benefit with :meth:`CompiledCascadeEngine.benefit_of`, so pipelined
+    results are bit-identical to sequential ones.
     """
 
     __slots__ = ("_engine", "_pending", "_result")
@@ -1243,9 +1251,7 @@ class PendingRun:
         """Block until the evaluation completes; returns ``(counts, benefit)``."""
         if self._result is None:
             counts = self._pending.result()
-            engine = self._engine
-            benefit = float(counts @ engine.compiled.benefits) / engine.num_worlds
-            self._result = (counts, benefit)
+            self._result = (counts, self._engine.benefit_of(counts))
             self._pending = None
         return self._result
 

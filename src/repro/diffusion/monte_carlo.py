@@ -43,11 +43,7 @@ import numpy as np
 from repro.diffusion.delta import DeltaCascadeEngine, DeltaOutcome
 from repro.diffusion.engine import CompiledCascadeEngine
 from repro.diffusion.estimator import BenefitEstimator, DeploymentKey
-from repro.diffusion.reconcile import (
-    ReconcileOutcome,
-    dirty_world_mask,
-    refuse_retired_base,
-)
+from repro.diffusion.reconcile import ReconcileOutcome, dirty_world_mask
 from repro.exceptions import EstimationError
 from repro.graph.events import NodeRetire
 from repro.graph.social_graph import SocialGraph
@@ -203,10 +199,7 @@ class MonteCarloEstimator(BenefitEstimator):
             key, (run, indices) = next(iter(in_flight.items()))
             del in_flight[key]
             counts, benefit = run.result()
-            self._remember(self._benefit_cache, key, benefit)
-            self._remember(
-                self._probability_cache, key, self._counts_to_probabilities(counts)
-            )
+            self._memoise(key, counts, benefit)
             self.evaluations += 1
             for position in indices:
                 results[position] = benefit
@@ -323,14 +316,9 @@ class MonteCarloEstimator(BenefitEstimator):
         key = self._key(seeds, allocation)
         if key == self._delta_base_key and delta.has_snapshot:
             return delta.base_benefit
-        counts, benefit = delta.snapshot(seeds, allocation)
-        self._delta_base_key = key
-        self._remember(self._benefit_cache, key, benefit)
-        self._remember(
-            self._probability_cache, key, self._counts_to_probabilities(counts)
-        )
+        delta.snapshot(seeds, allocation)
         self.evaluations += 1
-        return benefit
+        return self._memoise_base(key)
 
     def advance_base(
         self,
@@ -356,17 +344,9 @@ class MonteCarloEstimator(BenefitEstimator):
         key = self._key(new_seeds, new_allocation)
         if key == self._delta_base_key and delta.has_snapshot:
             return delta.base_benefit
-        benefit = delta.splice_base(outcome, node, new_seeds, new_allocation)
-        if benefit is None:
+        if delta.splice_base(outcome, node, new_seeds, new_allocation) is None:
             return self.snapshot_base(new_seeds, new_allocation)
-        self._delta_base_key = key
-        self._remember(self._benefit_cache, key, benefit)
-        self._remember(
-            self._probability_cache,
-            key,
-            self._counts_to_probabilities(delta.base_counts),
-        )
-        return benefit
+        return self._memoise_base(key)
 
     def advance_base_new_seed(
         self,
@@ -399,17 +379,9 @@ class MonteCarloEstimator(BenefitEstimator):
         if not outcome.exact:
             return self.snapshot_base(new_seeds, new_allocation)
         self.evaluations += 1
-        benefit = delta.splice_base_new_seed(outcome, node, new_seeds, new_allocation)
-        if benefit is None:
+        if delta.splice_base_new_seed(outcome, node, new_seeds, new_allocation) is None:
             return self.snapshot_base(new_seeds, new_allocation)
-        self._delta_base_key = key
-        self._remember(self._benefit_cache, key, benefit)
-        self._remember(
-            self._probability_cache,
-            key,
-            self._counts_to_probabilities(delta.base_counts),
-        )
-        return benefit
+        return self._memoise_base(key)
 
     def delta_extra_coupon(
         self,
@@ -493,13 +465,10 @@ class MonteCarloEstimator(BenefitEstimator):
         delta = self._delta
         if delta is not None and delta.has_snapshot:
             index = self._engine.compiled.index
-            refuse_retired_base(
-                delta,
-                [
-                    index[event.node]
-                    for event in batch.events
-                    if isinstance(event, NodeRetire) and event.node in index
-                ],
+            delta.refuse_retired_base(
+                index[event.node]
+                for event in batch.events
+                if isinstance(event, NodeRetire) and event.node in index
             )
         application = self.graph.apply_events(batch)
         return self.reconcile(application)
@@ -533,25 +502,13 @@ class MonteCarloEstimator(BenefitEstimator):
         reconciled = False
         base_benefit: Optional[float] = None
         if delta is not None and delta.has_snapshot:
-            benefit = delta.reconcile(application, mask)
-            if benefit is None:
-                # The deployment resolves differently on the new graph (e.g.
-                # a previously-unknown seed id now exists): rebuild the
-                # snapshot from the kept identifiers — still correct, just
-                # not free; the pass shows up in delta_snapshot_passes.
-                _, benefit = delta.snapshot(
-                    list(delta._base_seeds), dict(delta._base_alloc)
-                )
-            else:
-                reconciled = True
-            base_benefit = benefit
+            # A deployment that resolves differently on the new graph (e.g. a
+            # previously-unknown seed id now exists) is re-snapshotted from
+            # the delta engine's own record — still correct, just not free;
+            # the pass shows up in delta_snapshot_passes.
+            base_benefit, reconciled = delta.reconcile(application, mask)
             if self._delta_base_key is not None:
-                self._remember(self._benefit_cache, self._delta_base_key, benefit)
-                self._remember(
-                    self._probability_cache,
-                    self._delta_base_key,
-                    self._counts_to_probabilities(delta.base_counts),
-                )
+                self._memoise_base(self._delta_base_key)
         return ReconcileOutcome(
             num_worlds=self.num_samples,
             dirty_worlds=int(mask.sum()),
@@ -578,11 +535,25 @@ class MonteCarloEstimator(BenefitEstimator):
     ) -> Tuple[Dict[NodeId, float], float]:
         """One engine pass; memoise both the benefit and the probabilities."""
         counts, benefit = self._engine.run(seeds, allocation)
+        probabilities = self._memoise(key, counts, benefit)
+        self.evaluations += 1
+        return probabilities, benefit
+
+    def _memoise(
+        self, key: DeploymentKey, counts: np.ndarray, benefit: float
+    ) -> Dict[NodeId, float]:
+        """Memoise one evaluated deployment's benefit and probabilities."""
         probabilities = self._counts_to_probabilities(counts)
         self._remember(self._benefit_cache, key, benefit)
         self._remember(self._probability_cache, key, probabilities)
-        self.evaluations += 1
-        return probabilities, benefit
+        return probabilities
+
+    def _memoise_base(self, key: DeploymentKey) -> float:
+        """Make ``key`` the delta base, memoised from the snapshot; its benefit."""
+        delta = self._delta
+        self._delta_base_key = key
+        self._memoise(key, delta.base_counts, delta.base_benefit)
+        return delta.base_benefit
 
     def _counts_to_probabilities(self, counts: np.ndarray) -> Dict[NodeId, float]:
         """Activation-count vector -> per-node probability dict (nonzero only)."""

@@ -31,7 +31,7 @@ Determinism
 -----------
 The per-block counts are integers and the running reduction folds them in
 block order whatever order they complete in, so the final count vector — and
-the ``counts @ benefits / num_worlds`` benefit derived from it by the engine —
+the benefit the engine derives from it (``benefit_of``) —
 is bit-identical to the serial path for any shard size, worker count,
 completion order and pipelining depth.
 

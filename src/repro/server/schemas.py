@@ -61,8 +61,7 @@ class SolveRequest(BaseModel):
     scored with the scenario's resident RR sketch (sampled once per scenario
     and reused across solves) and only the top-``tier_topk`` slots plus the
     relative ``tier_epsilon`` band below the k-th are MC-confirmed.  The
-    response's ``tier_stats`` carries the screened/confirmed/speculative
-    counters.
+    response's ``tier_stats`` carries the screening counters.
     """
 
     candidate_limit: Optional[int] = Field(default=8, gt=0)

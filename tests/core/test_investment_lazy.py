@@ -99,13 +99,3 @@ def test_incremental_flag_defaults_to_estimator_capability():
     # gracefully to the eager path.
     phase = InvestmentDeployment(scenario, eager_only, incremental=True)
     assert not phase.incremental
-
-
-def test_rr_prescreen_returns_feasible_deployment():
-    scenario = synthetic_scenario(80, budget=60.0, seed=3)
-    result = S3CA(
-        scenario, num_samples=30, seed=3,
-        max_pivot_candidates=10, rr_prescreen=True,
-    ).solve()
-    assert result.deployment.total_cost() <= scenario.budget_limit + 1e-9
-    assert result.deployment.seeds

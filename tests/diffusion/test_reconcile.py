@@ -76,6 +76,29 @@ CHURN_BATCH = GraphEventBatch(
 )
 
 
+def grow_batch(graph):
+    # A node joins with edges in and out, and the likeliest edge is dropped;
+    # nothing is retired: the identity remap with a longer count vector.
+    source, target, _ = max(
+        graph.edges(), key=lambda e: (e[2], str(e[0]), str(e[1]))
+    )
+    return GraphEventBatch(
+        [
+            NodeAdd("grown", NodeAttributes(benefit=3.0, seed_cost=1.0, sc_cost=1.0)),
+            EdgeAdd(0, "grown", 0.5),
+            EdgeAdd("grown", 6, 0.45),
+            EdgeDrop(source, target),
+        ]
+    )
+
+
+BATCHES = {
+    "small": small_batch,
+    "churn": lambda graph: CHURN_BATCH,
+    "grow": grow_batch,
+}
+
+
 def _warm_estimator(graph, **kwargs):
     kwargs.setdefault("use_kernel", False)
     kwargs.setdefault("shared_memory", False)
@@ -114,10 +137,10 @@ def _assert_snapshot_state_identical(reconciled, fresh):
     assert reconciled._base_seed_indices == fresh._base_seed_indices
 
 
-@pytest.mark.parametrize("kind", ["small", "churn"])
+@pytest.mark.parametrize("kind", sorted(BATCHES))
 def test_reconcile_bit_identical_to_cold_snapshot(kind):
     graph = build_graph()
-    batch = small_batch(graph) if kind == "small" else CHURN_BATCH
+    batch = BATCHES[kind](graph)
     estimator = _warm_estimator(graph)
     try:
         estimator.snapshot_base(SEEDS, ALLOC)
@@ -226,6 +249,35 @@ def test_reconcile_with_workers_matches_serial():
     finally:
         serial.close()
         pooled.close()
+
+
+def test_seed_splice_then_events_reconciles_the_spliced_deployment():
+    """A pivot spliced into the base is the deployment the next batch sees.
+
+    The seed splice must record the new seed's identifier too: the
+    reconcile re-resolves the base seeds by identifier, so a stale
+    identifier list mismatches, falls back to a fresh snapshot of the old
+    seed set and memoises that benefit under the spliced deployment.
+    """
+    graph = build_graph()
+    estimator = _warm_estimator(graph)
+    allocation = {0: 2, 3: 1}
+    try:
+        estimator.snapshot_base([0], allocation)
+        estimator.advance_base_new_seed(3, [0, 3], allocation)
+        outcome = estimator.ingest_events(small_batch(graph))
+        assert outcome.reconciled
+
+        cold_engine, cold = _cold_delta(estimator, [0, 3], allocation)
+        try:
+            _assert_snapshot_state_identical(estimator._delta, cold)
+            assert estimator.expected_benefit([0, 3], allocation) == (
+                cold.base_benefit
+            )
+        finally:
+            cold_engine.close()
+    finally:
+        estimator.close()
 
 
 def test_newly_resolving_seed_falls_back_to_fresh_snapshot():

@@ -184,6 +184,44 @@ class TestEventsReconcile:
             entry.estimator, seeds, allocation
         )
 
+    def test_full_budget_solve_is_restated_after_events(self, service):
+        """A full-budget solve ends on a spliced pivot; the batch after it
+        must re-state that deployment, not the snapshot's earlier seed set."""
+        info, _ = service.register_scenario(
+            RegisterScenarioRequest(
+                dataset="facebook", scale=0.3, budget=120.0, seed=5,
+                num_samples=100,
+            )
+        )
+        sid = info["scenario_id"]
+        result = _solved(service, sid, SolveRequest(spend_full_budget=True))
+        entry = service.registry.get(sid)
+        graph = entry.scenario.graph
+        source, target, _ = min(
+            graph.edges(), key=lambda e: (str(e[0]), str(e[1]))
+        )
+        answer = service.apply_events(
+            sid,
+            GraphEventsRequest(
+                events=[
+                    {
+                        "type": "edge_reweight",
+                        "source": str(source),
+                        "target": str(target),
+                        "probability": 0.12,
+                    }
+                ]
+            ),
+        )
+        seeds = {int(raw) for raw in result["seeds"]}
+        allocation = {
+            int(raw): count for raw, count in result["allocation"].items()
+        }
+        assert (len(seeds), sum(allocation.values())) == (5, 10)
+        assert answer["solve_benefit"] == _evolved_cold_benefit(
+            entry.estimator, seeds, allocation
+        )
+
 
 def _evolved_cold_benefit(resident_estimator, seeds, allocation):
     """Cold evaluation on the evolved compiled graph + evolved sampler."""
