@@ -23,6 +23,11 @@ benefit evaluation costs milliseconds (the regime the kernel exists for):
   snapshot also builds every world's Python lists, which the kernel does
   not speed up, and at the tight-budget deployments of real solves (one
   seed, a coupon or two) the kernel only matches the interpreted loop.
+* **world draw** (recorded, not gated) — milliseconds to draw one block of
+  every world from the sampler's stream, with the kernel's draw entry
+  (``native_draw_ms``) and with the numpy loop (``numpy_draw_ms``); their
+  targets and offsets must be equal.  This is the draw a resident engine
+  repeats for every event batch.
 
 The deployments are deliberately heavy (many seeds, coupons on every
 spreader) so cascades run deep: the kernel accelerates the per-activation
@@ -55,6 +60,7 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import BENCH_SEED
@@ -126,6 +132,16 @@ def _snapshot_passes(engine, inputs):
             for seed_indices, coupons in inputs
         ]
     return outputs, timer.elapsed * 1e3 / len(inputs)
+
+
+def _draw_ms(draw, repeats=5):
+    """(block, median ms) of ``repeats`` draws of the same block."""
+    times = []
+    for _ in range(repeats):
+        with Timer() as timer:
+            block, _ = draw()
+        times.append(timer.elapsed * 1e3)
+    return block, sorted(times)[len(times) // 2]
 
 
 def _append_trajectory(points, backend, effective_workers, parallel_skip_reason):
@@ -216,6 +232,19 @@ def test_kernel_vs_interpreted_throughput(report):
         )
         assert kernel_snapshots == interpreted_snapshots
 
+        sampler = kernel_engine.sampler
+        no_probe = np.empty(0, dtype=np.int64)
+        numpy_block, numpy_draw_ms = _draw_ms(
+            lambda: sampler._draw_block_numpy(0, NUM_SAMPLES, no_probe)
+        )
+        native_block, native_draw_ms = _draw_ms(
+            lambda: sampler._draw_block_native(
+                kernels.load_kernel(), 0, NUM_SAMPLES, no_probe
+            )
+        )
+        assert np.array_equal(native_block.targets, numpy_block.targets)
+        assert np.array_equal(native_block.offsets, numpy_block.offsets)
+
         point = {
             "nodes": size,
             "edges": scenario.num_edges,
@@ -226,6 +255,9 @@ def test_kernel_vs_interpreted_throughput(report):
             "interpreted_snapshot_ms": round(interpreted_snapshot_ms, 3),
             "kernel_snapshot_ms": round(kernel_snapshot_ms, 3),
             "identical_snapshots": True,
+            "numpy_draw_ms": round(numpy_draw_ms, 3),
+            "native_draw_ms": round(native_draw_ms, 3),
+            "identical_draws": True,
             "workers2_interpreted_evals_per_sec": None,
             "workers2_kernel_evals_per_sec": None,
             "workers2_speedup": None,

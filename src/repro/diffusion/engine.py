@@ -14,8 +14,9 @@ Sharded world sampling
 ----------------------
 Worlds are produced by a :class:`WorldSampler`, which freezes the RNG state at
 construction and can recreate *any* contiguous block of worlds from scratch by
-skipping the bit stream forward (``bit_generator.advance`` where available,
-chunked draw-and-discard otherwise).  With the default ``shard_size=None`` the
+skipping the bit stream forward (``bit_generator.advance`` where it skips
+exactly one double per step, chunked draw-and-discard otherwise; see
+:func:`_skipper`).  With the default ``shard_size=None`` the
 engine keeps every world resident, exactly as before.  With a ``shard_size``
 the engine materialises worlds in fixed-size blocks — build, evaluate, discard
 — holding at most a couple of blocks at a time, which bounds peak memory to
@@ -52,11 +53,12 @@ import pickle
 import warnings
 import weakref
 from collections import OrderedDict
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.diffusion import kernels as _kernels
+from repro.diffusion.reconcile import dirty_probe, dirty_rows, dirty_world_mask
 from repro.exceptions import EstimationError
 from repro.graph.csr import CompiledGraph
 from repro.graph.social_graph import SocialGraph
@@ -73,8 +75,13 @@ WorldAdjacency = Tuple[List[int], List[int]]
 #: revisiting the block it just left) without growing with ``num_worlds``.
 _MAX_CACHED_BLOCKS = 2
 
-#: Draw-and-discard chunk for bit generators without ``advance``.
+#: Draw-and-discard chunk of :func:`_skipper`.
 _DISCARD_CHUNK = 65_536
+
+#: Bit generators whose ``advance(k)`` skips exactly ``k`` doubles: each
+#: double is one 64-bit output.  Philox's ``advance`` steps a counter of four
+#: outputs, and MT19937 and SFC64 have no ``advance``.
+_ADVANCE_SKIPS_DRAWS = (np.random.PCG64, np.random.PCG64DXSM)
 
 
 class FlatWorldBlock:
@@ -161,10 +168,17 @@ class WorldSampler:
     starting at world ``w`` is then drawn by restoring that state, skipping
     ``w × num_edges`` doubles (each live-edge coin flip consumes exactly one
     draw) and flipping the block's coins in ``graph.edges()`` enumeration
-    order.  The skip uses ``bit_generator.advance`` when the bit generator
-    supports it (PCG64, the ``numpy.random.default_rng`` default, does) and
-    falls back to chunked draw-and-discard otherwise — both reproduce the
-    sequential stream bit for bit.
+    order.  The skip (:func:`_skipper`) calls ``bit_generator.advance``
+    only where ``advance(k)`` skips exactly ``k`` doubles — PCG64, the
+    ``numpy.random.default_rng`` default, and PCG64DXSM — and draws and
+    discards otherwise (Philox, whose ``advance`` counts blocks of four
+    outputs; MT19937 and SFC64, which have none), so every bit generator
+    reproduces the sequential stream bit for bit.
+
+    Blocks are drawn by the native kernel's draw entry
+    (:meth:`~repro.diffusion.kernels.CascadeKernel.draw_worlds`) whenever it
+    loads, and otherwise by :meth:`_draw_block_numpy`, its oracle; the two
+    consume the same doubles and give identical arrays.
 
     The sampler is picklable (frozen state + the compiled graph), which is
     what lets :mod:`repro.diffusion.parallel` ship it to worker processes
@@ -218,13 +232,7 @@ class WorldSampler:
         bit_generator = self.bit_generator_class()
         bit_generator.state = copy.deepcopy(state)
         generator = np.random.Generator(bit_generator)
-        skip = world_index * width
-        if skip:
-            advance = getattr(bit_generator, "advance", None)
-            if advance is not None:
-                advance(skip)
-            else:
-                _discard_draws(generator, skip)
+        _skipper(generator)(world_index * width)
         return generator
 
     def _layer_state(self, layer_index: int):
@@ -305,10 +313,11 @@ class WorldSampler:
 
         Returns a ``(num_worlds, len(positions))`` float64 array:
         ``out[w, i]`` is world ``w``'s draw at flat position ``positions[i]``.
-        This is the dirty-world probe of snapshot reconciliation — layers
-        containing no queried position are skipped entirely, and within a
-        queried layer only the prefix up to its last queried position is
-        generated per world (the remainder advances without generation).
+        This is the dirty-world probe of a sharded engine's reconcile (a
+        resident engine reads the same draws while redrawing its block, see
+        :meth:`draw_block`).  Layers containing no queried position are
+        skipped entirely; within a queried layer each world generates the
+        prefix up to its last queried position and skips the remainder.
         """
         positions = np.asarray(positions, dtype=np.int64)
         out = np.empty((int(num_worlds), positions.shape[0]), dtype=np.float64)
@@ -320,20 +329,17 @@ class WorldSampler:
                 local = positions[selected] - low
                 need = int(local.max()) + 1
                 generator = self._layer_generator(state, width, 0)
-                advance = getattr(generator.bit_generator, "advance", None)
-                remainder = width - need
+                skip = _skipper(generator)
                 for world in range(int(num_worlds)):
                     draws = generator.random(need)
                     out[world, selected] = draws[local]
-                    if remainder:
-                        if advance is not None:
-                            advance(remainder)
-                        else:
-                            _discard_draws(generator, remainder)
+                    skip(width - need)
             low = high
         return out
 
-    def draw_block(self, start: int, count: int) -> FlatWorldBlock:
+    def draw_block(
+        self, start: int, count: int, *, probe: Optional[np.ndarray] = None
+    ) -> Union[FlatWorldBlock, Tuple[FlatWorldBlock, np.ndarray]]:
         """Worlds ``start .. start+count-1`` as one flat block.
 
         With a shared block store attached this is publish-or-attach: the
@@ -341,14 +347,76 @@ class WorldSampler:
         every other attaches zero-copy.  Without one (or whenever attaching
         fails) the block is drawn privately — the arrays are bit-identical
         either way, so the store never affects results.
+
+        With ``probe`` (draw positions) the block is always drawn, published
+        when a store is attached, and returned as ``(block, draws)``:
+        ``draws[w, i]`` is world ``start + w``'s draw at ``probe[i]``, what
+        :meth:`draws_at` gives, read in the same pass over the stream.
         """
         store = self.store
+        if probe is not None:
+            block, draws = self.draw_block_private(start, count, probe=probe)
+            if store is not None:
+                block = store.publish(start, count, block)
+            return block, draws
         if store is None:
             return self.draw_block_private(start, count)
         return store.block_for(self, start, count)
 
-    def draw_block_private(self, start: int, count: int) -> FlatWorldBlock:
-        """Materialise a block into process-private arrays (the raw draw)."""
+    def draw_block_private(
+        self, start: int, count: int, *, probe: Optional[np.ndarray] = None
+    ) -> Union[FlatWorldBlock, Tuple[FlatWorldBlock, np.ndarray]]:
+        """Materialise a block into process-private arrays (the raw draw).
+
+        One call of the native draw entry when the kernel loads, the numpy
+        loop otherwise.  Returns the block, or ``(block, draws)`` with a
+        ``probe``, as :meth:`draw_block` does.
+        """
+        positions = np.asarray(() if probe is None else probe, dtype=np.int64)
+        kernel = _kernels.load_kernel()
+        if kernel is None:
+            block, draws = self._draw_block_numpy(start, count, positions)
+        else:
+            block, draws = self._draw_block_native(kernel, start, count, positions)
+        return block if probe is None else (block, draws)
+
+    def _draw_block_native(
+        self, kernel, start: int, count: int, probe: np.ndarray
+    ) -> Tuple[FlatWorldBlock, np.ndarray]:
+        """:meth:`_draw_block_numpy`'s block and probe in native calls."""
+        compiled = self.compiled
+        generators = [
+            self._layer_generator(state, width, start) for state, width in self.layers
+        ]
+        widths = [width for _, width in self.layers]
+        num_slots = int(compiled.indptr[-1])
+        offsets = np.empty((count, compiled.num_nodes + 1), dtype=np.int64)
+        probed = np.empty((count, probe.shape[0]), dtype=np.float64)
+        # The expected live edges of the block plus one world's worth of
+        # slack; a call stops before a world that might not fit, the buffer
+        # grows and the next call resumes there.
+        capacity = int(count * float(compiled.probs.sum())) + num_slots
+        targets = np.empty(capacity, dtype=np.int32)
+        done = 0
+        while True:
+            done += kernel.draw_worlds(
+                compiled.indptr, compiled.indices, compiled.edge_pos,
+                compiled.probs, compiled.num_draws, generators, widths, done,
+                targets, offsets, probe, probed,
+            )
+            if done == count:
+                break
+            used = int(offsets[done - 1, -1]) if done else 0
+            grown = np.empty(max(2 * targets.shape[0], used + num_slots), np.int32)
+            grown[:used] = targets[:used]
+            targets = grown
+        used = int(offsets[-1, -1]) if count else 0
+        return FlatWorldBlock(targets[:used].copy(), offsets, count), probed
+
+    def _draw_block_numpy(
+        self, start: int, count: int, probe: np.ndarray
+    ) -> Tuple[FlatWorldBlock, np.ndarray]:
+        """The interpreted draw: the block and each world's draws at ``probe``."""
         compiled = self.compiled
         layers = self.layers
         indptr = compiled.indptr
@@ -364,6 +432,7 @@ class WorldSampler:
         )
         target_parts: List[np.ndarray] = []
         offsets = np.empty((count, compiled.num_nodes + 1), dtype=np.int64)
+        probed = np.empty((count, probe.shape[0]), dtype=np.float64)
         base = 0
         for slot in range(count):
             if single:
@@ -374,6 +443,7 @@ class WorldSampler:
                 for generator, (_, width) in zip(generators, layers):
                     draws[low : low + width] = generator.random(width)
                     low += width
+            probed[slot] = draws[probe]
             live_slots = np.flatnonzero(draws[edge_pos] < probs)
             target_parts.append(indices[live_slots].astype(np.int32, copy=False))
             row = offsets[slot]
@@ -386,15 +456,31 @@ class WorldSampler:
             if target_parts
             else np.empty(0, dtype=np.int32)
         )
-        return FlatWorldBlock(targets, offsets, count)
+        return FlatWorldBlock(targets, offsets, count), probed
 
 
-def _discard_draws(generator: np.random.Generator, count: int) -> None:
-    """Consume ``count`` doubles from ``generator`` (advance() fallback)."""
-    while count > 0:
-        chunk = min(count, _DISCARD_CHUNK)
-        generator.random(chunk)
-        count -= chunk
+def _skipper(generator: np.random.Generator):
+    """A function moving ``generator`` past ``k`` doubles, as ``random(k)`` would.
+
+    ``bit_generator.advance`` where it skips exactly ``k`` doubles and no
+    32-bit half is buffered (``advance`` drops it, ``random`` keeps it);
+    chunked draw-and-discard otherwise.  Drawing doubles never changes the
+    buffer, so the choice holds for every later skip between such draws.
+    """
+    bit_generator = generator.bit_generator
+    if (
+        type(bit_generator) in _ADVANCE_SKIPS_DRAWS
+        and not bit_generator.state["has_uint32"]
+    ):
+        return bit_generator.advance
+
+    def discard(count: int) -> None:
+        while count > 0:
+            chunk = min(count, _DISCARD_CHUNK)
+            generator.random(chunk)
+            count -= chunk
+
+    return discard
 
 
 class BlockCache:
@@ -617,7 +703,7 @@ class CompiledCascadeEngine:
                 # The monolithic engine used to consume the caller's generator
                 # directly; keep that stream contract so downstream draws from
                 # a shared generator land where they always did.
-                _consume_stream(seed, self.num_worlds * compiled.num_edges)
+                _skipper(seed)(self.num_worlds * compiled.num_edges)
 
         # Shared world-block store: blocks of this sampler's world grid are
         # published to /dev/shm once machine-wide.  The engine owns cleanup
@@ -1059,7 +1145,7 @@ class CompiledCascadeEngine:
             )
         return self._executor
 
-    def apply_events(self, application, dirty_mask: Optional[np.ndarray] = None) -> int:
+    def apply_events(self, application) -> Tuple[np.ndarray, int]:
         """Evolve the engine in place onto an event batch's new graph.
 
         ``application`` is the :class:`~repro.graph.events.EventApplication`
@@ -1071,18 +1157,25 @@ class CompiledCascadeEngine:
         the block cache, the worker executor (workers hold old-graph
         samplers; it is lazily rebuilt), and the cascade scratch buffers.
 
-        When ``dirty_mask`` (per-world booleans) is given and the batch kept
-        every surviving edge's hand-off rank and the node set (no reweights,
-        no retires, no node adds), the published shared-memory blocks of
-        all-clean shards are **chained**: re-published byte-identical under
-        the new fingerprint before the old grid is swept, so clean worlds
-        advance to the new graph version without being re-drawn by anyone.
-        Returns the number of chained blocks.
+        Returns ``(dirty_mask, chained)``.  ``dirty_mask`` flags, per world,
+        whether the batch's changed edges touch its live set (the rule of
+        :mod:`repro.diffusion.reconcile`).  This is the one place the evolved
+        stream is read: an engine holding a resident block redraws it and
+        takes the changed positions' draws from that same pass (publishing
+        the block when a store is attached); a sharded engine probes them
+        with :func:`~repro.diffusion.reconcile.dirty_world_mask`.  When the
+        batch kept every surviving edge's hand-off rank and the node set (no
+        reweights, no retires, no node adds), a sharded engine's published
+        shared-memory blocks of all-clean shards are **chained**:
+        re-published byte-identical under the new fingerprint before the old
+        grid is swept, so clean worlds advance to the new graph version
+        without being re-drawn by anyone.  ``chained`` counts them.
         """
         compiled = application.compiled
         old_compiled = self.compiled
         old_store = self.sampler.store
         old_finalizer = self._store_finalizer
+        resident = self._resident_block is not None
 
         if self.shared_memory:
             from repro.graph.shared import share_compiled
@@ -1092,8 +1185,16 @@ class CompiledCascadeEngine:
                 compiled = shared_graph
             else:  # pragma: no cover - platform lost shm mid-flight
                 self.shared_memory = False
+        # Rekeying validates the batch's stream width: rekey before any
+        # state changes.
+        sampler = self.sampler.rekey(compiled, application.num_new_draws)
         self.compiled = compiled
-        self.sampler = self.sampler.rekey(compiled, application.num_new_draws)
+        self.sampler = sampler
+        dirty_mask = (
+            None
+            if resident
+            else dirty_world_mask(sampler, application, self.num_worlds)
+        )
 
         # Workers hold samplers keyed to the old graph; the executor is
         # rebuilt (and the new sampler re-registered) on the next parallel
@@ -1102,7 +1203,7 @@ class CompiledCascadeEngine:
             self._executor.close()
             self._executor = None
 
-        if self._resident_block is not None:
+        if resident:
             self._resident_block.release()
             self._resident_block = None
         for block in self._block_cache._blocks.values():
@@ -1117,15 +1218,15 @@ class CompiledCascadeEngine:
                 sampler_fingerprint,
             )
 
-            store = SharedBlockStore(sampler_fingerprint(self.sampler))
-            self.sampler.store = store
+            store = SharedBlockStore(sampler_fingerprint(sampler))
+            sampler.store = store
             self._store_bounds = tuple(
                 (start, min(self.shard_size, self.num_worlds - start))
                 for start in range(0, self.num_worlds, self.shard_size)
             )
             if (
-                old_store is not None
-                and dirty_mask is not None
+                not resident
+                and old_store is not None
                 and application.rank_stable
                 and application.identity_remap
                 and compiled.num_nodes == application.old_num_nodes
@@ -1160,12 +1261,16 @@ class CompiledCascadeEngine:
         if segment is not None and getattr(old_compiled, "owns_segment", False):
             _shm.close_segment(segment)
 
-        self._block_cache = BlockCache(self.sampler, _MAX_CACHED_BLOCKS)
-        if self.shard_size >= self.num_worlds:
-            self._resident_block = self.sampler.draw_block(0, self.num_worlds)
+        self._block_cache = BlockCache(sampler, _MAX_CACHED_BLOCKS)
+        if resident:
+            positions, thresholds = dirty_probe(application)
+            self._resident_block, draws = sampler.draw_block(
+                0, self.num_worlds, probe=positions
+            )
+            dirty_mask = dirty_rows(draws, thresholds)
 
         self._reset_scratch()
-        return chained
+        return dirty_mask, chained
 
     def close(self) -> None:
         """Release the executor and sweep shared world-block segments.
@@ -1254,14 +1359,3 @@ class PendingRun:
             self._result = (counts, self._engine.benefit_of(counts))
             self._pending = None
         return self._result
-
-
-def _consume_stream(generator: np.random.Generator, num_draws: int) -> None:
-    """Advance a caller-owned generator past ``num_draws`` coin flips."""
-    if num_draws <= 0:
-        return
-    advance = getattr(generator.bit_generator, "advance", None)
-    if advance is not None:
-        advance(num_draws)
-    else:
-        _discard_draws(generator, num_draws)

@@ -80,10 +80,32 @@ stream equal the oracle's.  Sets go back to back into a caller-owned int64
 buffer; as a set has at most ``num_nodes`` members and an unstarted set has
 drawn nothing, the entry stops before a set that might not fit and returns
 how many it finished, and the caller grows the buffer and resumes.
+
+A fourth entry, :meth:`CascadeKernel.draw_worlds`, draws a run of
+consecutive live-edge worlds from a
+:class:`~repro.diffusion.engine.WorldSampler`'s layered streams, which is
+what every block of worlds costs to materialise.  The caller positions one
+generator per stream layer at the run's first world
+(``WorldSampler._layer_generator``) and passes their ``bitgen_t`` pointers.
+Per world, the entry takes each layer's ``width`` doubles from that layer's
+generator with ``next_double``, in layer order, into one scratch row indexed
+by draw position; it copies the draws at the caller's probe positions into a
+``(count, len(probe))`` array; then it scans the CSR (``indptr``,
+``indices``, ``edge_pos``, ``probs``) node by node and writes the int32
+targets of the slots whose draw lies below their probability, with the
+world's row of absolute int64 offsets.  ``Generator.random(width)`` fills
+its output by calling the same ``next_double`` once per element, so the
+draws, the block and where each generator is left are bit for bit those of
+the numpy loop (``WorldSampler._draw_block_numpy``), for any bit generator;
+the entry holds every layer generator's ``bit_generator.lock`` while it
+draws.  A world has at most ``indptr[-1]`` live targets, so, as the other
+entries do, it stops before a world that might not fit and returns how many
+worlds it finished; the caller grows the targets buffer and resumes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import logging
@@ -93,7 +115,7 @@ import tempfile
 import time
 import weakref
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -296,6 +318,61 @@ int64_t repro_sample_rr_sets(
     }
     return num_sets - first;
 }
+
+/* Worlds first .. count - 1 of a block, line for line the numpy loop of
+ * repro/diffusion/engine.py (WorldSampler._draw_block_numpy): per world,
+ * each layer's width doubles from that layer's generator, in layer order;
+ * the draws at the probe positions; then, per node in CSR order, the slots
+ * whose draw lies below their probability. */
+int64_t repro_draw_worlds(
+    const int64_t *indptr,       /* num_nodes + 1, from 0, non-decreasing */
+    const int64_t *indices,      /* CSR slot -> target node */
+    const int64_t *edge_pos,     /* CSR slot -> draw position */
+    const double *probs,         /* CSR slot -> probability */
+    int64_t num_nodes,
+    repro_bitgen_t *const *bitgens, /* one per layer, positioned at world first */
+    const int64_t *widths,       /* one per layer: draws per world */
+    int64_t num_layers,
+    double *draws,               /* scratch: one world's draws, sum(widths) */
+    const int64_t *probe,        /* draw positions to copy out */
+    int64_t num_probe,
+    double *probed,              /* count x num_probe */
+    int64_t first,
+    int64_t count,
+    int32_t *targets,            /* every world's live targets, back to back */
+    int64_t capacity,            /* entries of targets */
+    int64_t *offsets)            /* count x (num_nodes + 1), absolute */
+{
+    const int64_t stride = num_nodes + 1;
+    const int64_t num_slots = indptr[num_nodes];
+    int64_t tail = first > 0 ? offsets[first * stride - 1] : 0;
+    for (int64_t w = first; w < count; ++w) {
+        /* A world has at most num_slots live targets; stop before drawing. */
+        if (tail + num_slots > capacity) return w - first;
+        double *draw = draws;
+        for (int64_t k = 0; k < num_layers; ++k) {
+            repro_bitgen_t *bitgen = bitgens[k];
+            for (int64_t i = 0; i < widths[k]; ++i) {
+                *draw++ = bitgen->next_double(bitgen->state);
+            }
+        }
+        double *probe_row = probed + w * num_probe;
+        for (int64_t j = 0; j < num_probe; ++j) probe_row[j] = draws[probe[j]];
+        int64_t *row = offsets + w * stride;
+        for (int64_t u = 0; u < num_nodes; ++u) {
+            row[u] = tail;
+            const int64_t high = indptr[u + 1];
+            for (int64_t slot = indptr[u]; slot < high; ++slot) {
+                /* Branch-free: write always, keep the write when live.  The
+                 * capacity check above keeps every write in bounds. */
+                targets[tail] = (int32_t)indices[slot];
+                tail += draws[edge_pos[slot]] < probs[slot];
+            }
+        }
+        row[num_nodes] = tail;
+    }
+    return count - first;
+}
 """
 
 
@@ -397,11 +474,20 @@ class CascadeKernel:
             ptr, ptr, ptr, c_i64, ptr, c_i64, c_i64, ptr, ptr, ptr, c_i64, ptr,
         ]
         self._rr_raw.restype = c_i64
+        self._draw_raw = library.repro_draw_worlds
+        self._draw_raw.argtypes = [
+            ptr, ptr, ptr, ptr, c_i64, ptr, ptr, c_i64, ptr, ptr, c_i64, ptr,
+            c_i64, c_i64, ptr, c_i64, ptr,
+        ]
+        self._draw_raw.restype = c_i64
         self._block_at = _address_memo(i32, i64, i32, i64, i64, i32, i64)
         self._instrumented_at = _address_memo(
             i32, i64, i64, i32, i64, i64, i32, i32, i64
         )
         self._rr_at = _address_memo(i64, i64, np.float64, i64, i64, i64, i64)
+        self._draw_at = _address_memo(
+            i64, i64, i64, np.float64, i64, np.float64, i32, i64
+        )
         self._warmed = False
         #: Seconds this process spent compiling the shared library (0.0 on
         #: a disk-cache hit) and in its one-off :meth:`warm` calls.
@@ -519,6 +605,94 @@ class CascadeKernel:
                 num_nodes, rng.bit_generator.ctypes.bit_generator.value, first,
                 num_sets, at(3, root_index), at(4, rr_offsets), at(5, flat),
                 flat.shape[0], at(6, stamp),
+            )
+
+    def draw_worlds(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        edge_pos: np.ndarray,
+        probs: np.ndarray,
+        num_draws: int,
+        generators: Sequence[np.random.Generator],
+        widths: Sequence[int],
+        first: int,
+        targets: np.ndarray,
+        offsets: np.ndarray,
+        probe: np.ndarray,
+        probed: np.ndarray,
+    ) -> int:
+        """Draw worlds ``first, first + 1, ...`` of a block from layered streams.
+
+        World ``w`` takes ``widths[k]`` doubles from ``generators[k]`` for
+        every layer ``k`` in order (``num_draws`` in all), copies its draws
+        at the positions ``probe`` into ``probed[w]``, and writes its live
+        targets (the CSR slots whose draw at ``edge_pos`` lies below
+        ``probs``) to ``targets`` from where world ``w - 1`` ended, with its
+        absolute offset row in ``offsets[w]`` — what
+        :meth:`~repro.diffusion.engine.WorldSampler._draw_block_numpy` draws,
+        and where it leaves the generators.  Stops before a world that might
+        not fit in ``targets`` (it holds at most ``indptr[-1]`` live targets)
+        and returns how many worlds it finished.
+        """
+        num_nodes = indptr.shape[0] - 1
+        num_slots = int(indptr[-1]) if num_nodes >= 0 else -1
+        if (
+            num_slots < 0
+            or indptr[0] != 0
+            or (indptr[1:] < indptr[:-1]).any()
+            or not indices.shape == edge_pos.shape == probs.shape == (num_slots,)
+        ):
+            raise ValueError("CSR indptr, indices, edge_pos and probs disagree")
+        if len(generators) != len(widths):
+            raise ValueError(
+                f"{len(generators)} generators for {len(widths)} stream layers"
+            )
+        widths_arr = np.asarray(widths, dtype=np.int64)
+        if (
+            (widths_arr < 0).any()
+            or widths_arr.sum() != num_draws
+            or (num_slots and not 0 <= edge_pos.min() <= edge_pos.max() < num_draws)
+        ):
+            raise ValueError(
+                f"layer widths {widths_arr.tolist()} do not sum to the "
+                f"{num_draws} draws covering the edges' draw positions"
+            )
+        count = offsets.shape[0]
+        if (
+            offsets.shape != (count, num_nodes + 1)
+            or not 0 <= first <= count
+            or (first and not 0 <= offsets[first - 1, -1] <= targets.shape[0])
+        ):
+            raise ValueError(
+                f"offsets of shape {offsets.shape} for {num_nodes} nodes, "
+                f"resuming at world {first} within {targets.shape[0]} targets"
+            )
+        if probed.shape != (count, probe.shape[0]) or (
+            probe.size and not 0 <= probe.min() <= probe.max() < num_draws
+        ):
+            raise ValueError(
+                f"probed of shape {probed.shape} for {count} worlds and "
+                f"{probe.shape[0]} probe positions within {num_draws} draws"
+            )
+        bitgens = np.array(
+            [g.bit_generator.ctypes.bit_generator.value for g in generators],
+            dtype=np.uintp,
+        )
+        draws = np.empty(num_draws, dtype=np.float64)
+        at = self._draw_at
+        # One acquire per bit generator: its lock is not reentrant, and one
+        # generator may feed several layers.
+        held = {id(g.bit_generator): g.bit_generator.lock for g in generators}
+        with contextlib.ExitStack() as locks:
+            for lock in held.values():
+                locks.enter_context(lock)
+            return self._draw_raw(
+                at(0, indptr), at(1, indices), at(2, edge_pos), at(3, probs),
+                num_nodes, bitgens.ctypes.data, widths_arr.ctypes.data,
+                widths_arr.shape[0], draws.ctypes.data, at(4, probe),
+                probe.shape[0], at(5, probed), first, count, at(6, targets),
+                targets.shape[0], at(7, offsets),
             )
 
     # -- warm-up -------------------------------------------------------

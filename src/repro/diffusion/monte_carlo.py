@@ -43,7 +43,7 @@ import numpy as np
 from repro.diffusion.delta import DeltaCascadeEngine, DeltaOutcome
 from repro.diffusion.engine import CompiledCascadeEngine
 from repro.diffusion.estimator import BenefitEstimator, DeploymentKey
-from repro.diffusion.reconcile import ReconcileOutcome, dirty_world_mask
+from repro.diffusion.reconcile import ReconcileOutcome
 from repro.exceptions import EstimationError
 from repro.graph.events import NodeRetire
 from repro.graph.social_graph import SocialGraph
@@ -487,15 +487,7 @@ class MonteCarloEstimator(BenefitEstimator):
         are re-memoised, so a subsequent :meth:`snapshot_base` on the same
         deployment stays a no-op.
         """
-        engine = self._engine
-        # Probe dirtiness on a preview of the evolved sampler: layer states
-        # are derived deterministically from the frozen base state, so the
-        # preview's draws are exactly the post-evolution engine's draws.
-        preview = engine.sampler.rekey(
-            application.compiled, application.num_new_draws
-        )
-        mask = dirty_world_mask(preview, application, self.num_samples)
-        chained = engine.apply_events(application, dirty_mask=mask)
+        mask, chained = self._engine.apply_events(application)
         self.clear_cache()
 
         delta = self._delta

@@ -66,8 +66,8 @@ def small_batch(graph):
 
 CHURN_BATCH = GraphEventBatch(
     [
-        EdgeDrop(1, 2),
-        EdgeReweight(2, 3, 0.4),
+        EdgeDrop(1, 8),
+        EdgeReweight(1, 5, 0.4),
         EdgeAdd(4, 13, 0.3),
         NodeAdd("fresh", NodeAttributes(benefit=4.0, seed_cost=1.0, sc_cost=1.0)),
         EdgeAdd(5, "fresh", 0.45),
@@ -102,8 +102,9 @@ BATCHES = {
 def _warm_estimator(graph, **kwargs):
     kwargs.setdefault("use_kernel", False)
     kwargs.setdefault("shared_memory", False)
+    kwargs.setdefault("seed", 17)
     return MonteCarloEstimator(
-        graph, num_samples=NUM_WORLDS, seed=17, incremental=True, **kwargs
+        graph, num_samples=NUM_WORLDS, incremental=True, **kwargs
     )
 
 
@@ -137,25 +138,52 @@ def _assert_snapshot_state_identical(reconciled, fresh):
     assert reconciled._base_seed_indices == fresh._base_seed_indices
 
 
+def test_churn_batch_drops_and_reweights_real_edges():
+    """CHURN_BATCH's drop and reweight name edges build_graph() has.
+
+    An event on an absent edge is skipped, so a stale name would silently
+    leave the churn kind without an explicit drop or a reweight under a node
+    remap.
+    """
+    graph = build_graph()
+    compiled = graph.compiled()
+    position = {
+        (compiled.node_ids[source], compiled.node_ids[compiled.indices[slot]]): (
+            int(compiled.edge_pos[slot]),
+            float(compiled.probs[slot]),
+        )
+        for source in range(compiled.num_nodes)
+        for slot in range(compiled.indptr[source], compiled.indptr[source + 1])
+    }
+    application = graph.apply_events(CHURN_BATCH)
+    assert application.retired
+    assert position[1, 8] in application.dropped
+    reweighted_at, old_probability = position[1, 5]
+    assert (reweighted_at, old_probability, 0.4) in application.reweighted
+
+
 @pytest.mark.parametrize("kind", sorted(BATCHES))
 def test_reconcile_bit_identical_to_cold_snapshot(kind):
-    graph = build_graph()
-    batch = BATCHES[kind](graph)
-    estimator = _warm_estimator(graph)
-    try:
-        estimator.snapshot_base(SEEDS, ALLOC)
-        outcome = estimator.ingest_events(batch)
-        assert outcome.reconciled
-        assert outcome.base_benefit is not None
-
-        cold_engine, cold = _cold_delta(estimator, SEEDS, ALLOC)
+    # The default PCG64 stream, and a caller's Philox generator, whose
+    # advance() counts blocks of four outputs, not doubles.
+    for seed in (17, np.random.Generator(np.random.Philox(17))):
+        graph = build_graph()
+        batch = BATCHES[kind](graph)
+        estimator = _warm_estimator(graph, seed=seed)
         try:
-            _assert_snapshot_state_identical(estimator._delta, cold)
-            assert outcome.base_benefit == cold.base_benefit
+            estimator.snapshot_base(SEEDS, ALLOC)
+            outcome = estimator.ingest_events(batch)
+            assert outcome.reconciled
+            assert outcome.base_benefit is not None
+
+            cold_engine, cold = _cold_delta(estimator, SEEDS, ALLOC)
+            try:
+                _assert_snapshot_state_identical(estimator._delta, cold)
+                assert outcome.base_benefit == cold.base_benefit
+            finally:
+                cold_engine.close()
         finally:
-            cold_engine.close()
-    finally:
-        estimator.close()
+            estimator.close()
 
 
 def test_only_dirty_worlds_resimulated_and_counted():
@@ -416,6 +444,33 @@ def test_clean_shards_chain_shared_blocks_across_versions():
             cold_engine.close()
     finally:
         estimator.close()
+
+
+def test_resident_shared_memory_engine_publishes_its_redraw():
+    """A resident engine with a block store publishes the block it redrew.
+
+    Its dirty worlds come off that redraw, so every outcome equals the
+    private-memory engine's, and the new block is backed by shared memory.
+    """
+    outcomes = {}
+    for shared_memory in (False, True):
+        graph = build_graph()
+        estimator = _warm_estimator(graph, shared_memory=shared_memory)
+        try:
+            assert not estimator._engine.is_sharded
+            estimator.snapshot_base(SEEDS, ALLOC)
+            outcomes[shared_memory] = [
+                (outcome.dirty_worlds, outcome.base_benefit, outcome.chained_blocks)
+                for outcome in (
+                    estimator.ingest_events(small_batch(graph)),
+                    estimator.ingest_events(CHURN_BATCH),
+                )
+            ]
+            block = estimator._engine._resident_block
+            assert (block.segment is not None) is shared_memory
+        finally:
+            estimator.close()
+    assert outcomes[True] == outcomes[False]
 
 
 def test_whatif_splices_stay_exact_after_reconcile():

@@ -12,7 +12,12 @@ probability caches), and the delta-evaluation snapshot path.
 import numpy as np
 import pytest
 
-from repro.diffusion.engine import CompiledCascadeEngine, WorldSampler
+from repro.diffusion.engine import (
+    _ADVANCE_SKIPS_DRAWS,
+    CompiledCascadeEngine,
+    WorldSampler,
+    _skipper,
+)
 from repro.diffusion.monte_carlo import MonteCarloEstimator
 from repro.exceptions import EstimationError
 from repro.graph.generators import ppgg_like_graph
@@ -20,6 +25,10 @@ from repro.graph.generators import ppgg_like_graph
 NUM_SAMPLES = 40
 SHARD_SIZES = [1, 7, NUM_SAMPLES, NUM_SAMPLES + 13]
 SEEDS = [11, 2019]
+#: Caller-owned generators the sampler must skip through exactly: PCG64
+#: skips with advance(), MT19937 has no advance(), and Philox's advance()
+#: steps a counter of four outputs, not one double.
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox]
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +59,20 @@ def deployment(graph):
 @pytest.mark.parametrize("shard_size", SHARD_SIZES)
 def test_run_bit_identical_across_shard_sizes(graph, deployment, shard_size, seed):
     seeds, allocation = deployment
-    monolithic = CompiledCascadeEngine(graph.compiled(), NUM_SAMPLES, seed=seed)
-    sharded = CompiledCascadeEngine(
-        graph.compiled(), NUM_SAMPLES, seed=seed, shard_size=shard_size
-    )
-    counts_mono, benefit_mono = monolithic.run(seeds, allocation)
-    counts_shard, benefit_shard = sharded.run(seeds, allocation)
-    assert (counts_mono == counts_shard).all()
-    assert benefit_mono == benefit_shard  # same ints, same expression: exact
+    # The int seed, then a fresh caller-owned generator per engine.
+    for make_seed in [lambda: seed] + [
+        lambda kind=kind: np.random.Generator(kind(seed)) for kind in BIT_GENERATORS
+    ]:
+        monolithic = CompiledCascadeEngine(
+            graph.compiled(), NUM_SAMPLES, seed=make_seed()
+        )
+        sharded = CompiledCascadeEngine(
+            graph.compiled(), NUM_SAMPLES, seed=make_seed(), shard_size=shard_size
+        )
+        counts_mono, benefit_mono = monolithic.run(seeds, allocation)
+        counts_shard, benefit_shard = sharded.run(seeds, allocation)
+        assert (counts_mono == counts_shard).all()
+        assert benefit_mono == benefit_shard  # same ints, same expression: exact
 
 
 @pytest.mark.parametrize("shard_size", [1, 7])
@@ -167,13 +182,56 @@ def test_rejects_bad_shard_size_and_workers(graph):
 def test_generator_seed_preserves_stream_consumption(graph):
     """A caller-owned generator is advanced exactly as the old path drew it."""
     compiled = graph.compiled()
-    shared = np.random.default_rng(3)
-    engine = CompiledCascadeEngine(compiled, 10, seed=shared, shard_size=4)
-    reference = np.random.default_rng(3)
-    for _ in range(10):
-        reference.random(compiled.num_edges)
-    assert shared.random() == reference.random()
-    # And the worlds themselves match an int-seeded engine.
+    for kind in BIT_GENERATORS:
+        shared = np.random.Generator(kind(3))
+        engine = CompiledCascadeEngine(compiled, 10, seed=shared, shard_size=4)
+        reference = np.random.Generator(kind(3))
+        for _ in range(10):
+            reference.random(compiled.num_edges)
+        assert shared.random() == reference.random()
+        # And the sharded worlds match the resident worlds of the same stream.
+        resident = CompiledCascadeEngine(
+            compiled, 10, seed=np.random.Generator(kind(3))
+        )
+        for world_index in range(10):
+            assert engine.world(world_index) == resident.world(world_index)
+    # default_rng(3) is Generator(PCG64(3)): an int seed gives the same worlds.
+    pcg64 = CompiledCascadeEngine(
+        compiled, 10, seed=np.random.Generator(np.random.PCG64(3))
+    )
     int_seeded = CompiledCascadeEngine(compiled, 10, seed=3, shard_size=4)
     for world_index in range(10):
-        assert engine.world(world_index) == int_seeded.world(world_index)
+        assert int_seeded.world(world_index) == pcg64.world(world_index)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [*BIT_GENERATORS, np.random.PCG64DXSM, np.random.SFC64],
+    ids=lambda kind: kind.__name__,
+)
+def test_skip_draws_equals_drawing(kind):
+    """The sampler's skip-ahead moves any stream exactly as random(k) would."""
+    skipped = np.random.Generator(kind(5))
+    drawn = np.random.Generator(kind(5))
+    for generator in (skipped, drawn):
+        # A buffered 32-bit half, which advance() would drop.
+        generator.integers(0, 2**32, dtype=np.uint32)
+    skip = _skipper(skipped)
+    for count in (0, 1, 7, 1000):
+        skip(count)
+        drawn.random(count)
+        assert skipped.random() == drawn.random()
+    assert skipped.integers(0, 2**32, dtype=np.uint32) == (
+        drawn.integers(0, 2**32, dtype=np.uint32)
+    )
+    # advance(k) is k doubles exactly for the generators the skip uses it on.
+    advanced = np.random.Generator(kind(5))
+    reference = np.random.Generator(kind(5))
+    if kind in _ADVANCE_SKIPS_DRAWS:
+        advanced.bit_generator.advance(1000)
+        reference.random(1000)
+        assert advanced.random() == reference.random()
+    elif kind is np.random.Philox:
+        advanced.bit_generator.advance(1000)
+        reference.random(1000)
+        assert advanced.random() != reference.random()
