@@ -362,7 +362,7 @@ def test_zero_copy_broadcast_payload(report):
     """Worker broadcast payload: shared-memory descriptor vs by-value arrays.
 
     Measures the exact pickle :meth:`SharedShardPool.register` ships to every
-    worker — ``(token, sampler, cache_blocks)``'s dominant term, the sampler —
+    worker — ``(token, sampler)``'s dominant term, the sampler —
     for the private-copy and the zero-copy transport, plus what a worker pays
     to come up: unpickling the descriptor (which maps the graph segment) and
     attaching the already-published world blocks.  None of this needs a

@@ -44,13 +44,10 @@ class IMShortestPath(BaselineAlgorithm):
         num_samples: int = 200,
         seed: SeedLike = None,
         max_seeds: Optional[int] = None,
-        selector: Optional[GreedyInfluenceMaximization] = None,
     ) -> None:
         super().__init__(scenario, estimator=estimator, num_samples=num_samples, seed=seed)
         self.max_seeds = max_seeds
-        self.selector = selector or GreedyInfluenceMaximization(
-            scenario, estimator=self.estimator
-        )
+        self.selector = GreedyInfluenceMaximization(scenario, estimator=self.estimator)
 
     # ------------------------------------------------------------------
 

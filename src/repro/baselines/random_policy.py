@@ -17,6 +17,9 @@ from repro.utils.rng import SeedLike, spawn_rng
 
 NodeId = Hashable
 
+#: Coupon draws before the policy stops looking for one that fits.
+_MAX_ATTEMPTS = 10_000
+
 
 class RandomPolicy(BaselineAlgorithm):
     """Uniformly random seeds and coupons under the budget."""
@@ -31,13 +34,11 @@ class RandomPolicy(BaselineAlgorithm):
         num_samples: int = 200,
         seed: SeedLike = None,
         seed_budget_fraction: float = 0.5,
-        max_attempts: int = 10_000,
     ) -> None:
         super().__init__(scenario, estimator=estimator, num_samples=num_samples, seed=seed)
         if not 0.0 <= seed_budget_fraction <= 1.0:
             raise ValueError("seed_budget_fraction must lie in [0, 1]")
         self.seed_budget_fraction = seed_budget_fraction
-        self.max_attempts = max_attempts
         self._rng = spawn_rng(seed)
 
     def select(self) -> Deployment:
@@ -59,7 +60,7 @@ class RandomPolicy(BaselineAlgorithm):
 
         # Random coupons until nothing more fits (bounded attempts).
         attempts = 0
-        while attempts < self.max_attempts:
+        while attempts < _MAX_ATTEMPTS:
             attempts += 1
             node = nodes[int(self._rng.integers(0, len(nodes)))]
             if self.graph.out_degree(node) <= deployment.allocation.get(node):

@@ -29,9 +29,9 @@ Faithfulness notes
 
 Incremental mode (the CELF lazy queue)
 --------------------------------------
-With ``incremental=True`` (default whenever the estimator supports it) the
-coupon-candidate scoring runs on a CELF-style lazy priority queue backed by
-the delta-evaluation engine:
+With ``incremental=True`` (the default; it takes effect whenever the
+estimator supports delta evaluation) the coupon-candidate scoring runs on a
+CELF-style lazy priority queue backed by the delta-evaluation engine:
 
 * the base deployment is snapshotted once per iteration (one instrumented
   pass) and each *fresh* candidate evaluation re-simulates only the worlds
@@ -159,12 +159,12 @@ class InvestmentDeployment:
     ----------
     scenario / estimator:
         The S3CRM instance and the shared expected-benefit estimator.
-    candidate_limit / max_pivot_candidates / activation_threshold:
+    candidate_limit / max_pivot_candidates:
         Work bounds, as before.
     incremental:
-        Use the delta-evaluation engine plus the CELF lazy queue (``None`` =
-        follow the estimator's capability; forced ``True`` on an estimator
-        without delta support silently degrades to eager).  The selected
+        Use the delta-evaluation engine plus the CELF lazy queue whenever
+        the estimator supports them (on one without delta support the phase
+        runs eager); ``False`` forces the eager path.  The selected
         deployment is bit-identical either way.
     """
 
@@ -175,8 +175,7 @@ class InvestmentDeployment:
         *,
         candidate_limit: Optional[int] = None,
         max_pivot_candidates: Optional[int] = None,
-        activation_threshold: float = 0.0,
-        incremental: Optional[bool] = None,
+        incremental: bool = True,
     ) -> None:
         self.scenario = scenario
         self.graph = scenario.graph
@@ -185,7 +184,6 @@ class InvestmentDeployment:
         self.incremental = self.marginal.incremental
         self.candidate_limit = candidate_limit
         self.max_pivot_candidates = max_pivot_candidates
-        self.activation_threshold = activation_threshold
         self._sc_cost_cache: Dict[Tuple[NodeId, int], float] = {}
         self.explored_nodes: Set[NodeId] = set()
         self._lazy = _LazyCouponQueue()
@@ -401,7 +399,7 @@ class InvestmentDeployment:
         candidates = [
             (probability, node)
             for node, probability in probabilities.items()
-            if probability > self.activation_threshold
+            if probability > 0.0
             and deployment.allocation.get(node) < self.graph.out_degree(node)
         ]
         candidates.sort(key=lambda item: (-item[0], str(item[1])))

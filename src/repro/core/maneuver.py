@@ -23,7 +23,7 @@ The exact bookkeeping of the paper's maneuver mapping ``K^j_i`` (which
 descendant of the path receives each retrieved coupon) is under-specified in
 the pseudo-code; we route retrieved coupons to the path nodes with unmet
 allocation in traversal order, which realises the same paths with the same
-total coupon counts.  This simplification is recorded in DESIGN.md.
+total coupon counts.
 
 Like the other two phases, SCM never submits benefit evaluations one at a
 time: each donor-ranking round prices every candidate retrieval through one
@@ -40,8 +40,8 @@ Two layers of incremental reuse keep repeated rounds cheap:
   "incremental donor heap": every evaluation it submits, the rebuild-per-round
   loop would have submitted too, so the rankings are bit-identical);
 * the base deployment's activation probabilities are fetched once per
-  distinct deployment through a ``want_probabilities`` plan slot and shared
-  by the path ranking and the per-path eligibility test.
+  distinct deployment and shared by the path ranking and the per-path
+  eligibility test.
 """
 
 from __future__ import annotations
@@ -98,16 +98,9 @@ class ManeuverResult:
 class SCManeuver:
     """Executor of the SCM phase."""
 
-    def __init__(
-        self,
-        estimator: BenefitEstimator,
-        budget_limit: float,
-        *,
-        max_donor_retrievals: Optional[int] = None,
-    ) -> None:
+    def __init__(self, estimator: BenefitEstimator, budget_limit: float) -> None:
         self.estimator = estimator
         self.budget_limit = budget_limit
-        self.max_donor_retrievals = max_donor_retrievals
         # deployment key -> (base benefit, donor -> priced deterioration
         # index); DIs are path-independent, so the table persists across
         # donor-ranking rounds and across paths.
@@ -144,23 +137,16 @@ class SCManeuver:
     def _likely_activated(self, deployment: Deployment) -> set:
         """Users the deployment likely activates, cached per deployment.
 
-        The probabilities ride a ``want_probabilities`` plan slot, so on a
-        pipelined estimator they come out of the same warmed pass as the
-        benefit — and the set is shared by the path ranking and every
-        per-path eligibility test against the same deployment.
+        The set is shared by the path ranking and every per-path eligibility
+        test against the same deployment.
         """
         key = BenefitEstimator._key(
             deployment.seeds, deployment.allocation.as_dict()
         )
         if key != self._likely_key or self._likely_active is None:
-            plan = self.estimator.plan()
-            slot = plan.add(
-                deployment.seeds,
-                deployment.allocation.as_dict(),
-                want_probabilities=True,
+            probabilities = self.estimator.activation_probabilities(
+                deployment.seeds, deployment.allocation.as_dict()
             )
-            plan.execute()
-            probabilities = plan.probabilities(slot)
             self._likely_active = {
                 node for node, prob in probabilities.items() if prob > 0.0
             }
@@ -253,8 +239,6 @@ class SCManeuver:
                     # per unit cost than the path is expected to gain.
                     break
                 take = min(spare, deficit - moved)
-                if self.max_donor_retrievals is not None:
-                    take = min(take, self.max_donor_retrievals)
                 if take <= 0:
                     continue
                 candidate, routing = self._apply_transfer(working, donor, take, needs)

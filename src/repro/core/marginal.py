@@ -82,11 +82,6 @@ class MarginalEvaluation:
     resulting: Deployment
     delta: Optional[DeltaOutcome] = None
 
-    @property
-    def is_positive(self) -> bool:
-        """Whether the investment strictly improves the expected benefit."""
-        return self.ratio > 0.0
-
 
 class MarginalRedemption:
     """Evaluator of marginal redemptions against a base deployment.
@@ -96,17 +91,16 @@ class MarginalRedemption:
     estimator:
         The expected-benefit estimator.
     incremental:
-        Force the incremental (delta) path on or off; ``None`` (default)
-        follows the estimator's capability.
+        Use the incremental (delta) path whenever the estimator supports it
+        (the default); ``False`` forces the full-resimulation path.
     """
 
     def __init__(
-        self, estimator: BenefitEstimator, *, incremental: Optional[bool] = None
+        self, estimator: BenefitEstimator, *, incremental: bool = True
     ) -> None:
         self.estimator = estimator
-        supports = bool(getattr(estimator, "supports_incremental", False))
-        self.incremental = supports if incremental is None else (
-            bool(incremental) and supports
+        self.incremental = incremental and bool(
+            getattr(estimator, "supports_incremental", False)
         )
 
     # ------------------------------------------------------------------

@@ -126,8 +126,8 @@ class S3CA:
         runs operate in).
     incremental:
         Run the ID phase on the delta-evaluation engine and the CELF lazy
-        queue (see :mod:`repro.core.investment`).  ``None`` (default) turns
-        it on whenever the estimator supports it; the selected deployment is
+        queue (see :mod:`repro.core.investment`) whenever the estimator
+        supports them (the default); the selected deployment is
         bit-identical to the eager full-resimulation path either way, only
         faster.  Pass ``False`` to force the eager path.
     """
@@ -147,7 +147,7 @@ class S3CA:
         enable_gpi: bool = True,
         enable_scm: bool = True,
         spend_full_budget: bool = False,
-        incremental: Optional[bool] = None,
+        incremental: bool = True,
     ) -> None:
         self.scenario = scenario
         self.estimator = estimator or make_estimator(

@@ -208,15 +208,14 @@ class WorldSampler:
 
     __slots__ = ("compiled", "bit_generator_class", "state", "store", "layers")
 
-    def __init__(
-        self, compiled: CompiledGraph, seed: SeedLike = None, *, store=None
-    ) -> None:
+    def __init__(self, compiled: CompiledGraph, seed: SeedLike = None) -> None:
         generator = spawn_rng(seed)
         bit_generator = generator.bit_generator
         self.compiled = compiled
         self.bit_generator_class = type(bit_generator)
         self.state = copy.deepcopy(bit_generator.state)
-        self.store = store
+        #: The engine attaches a shared-memory block store here, if any.
+        self.store = None
         self.layers: Tuple[Tuple[object, int], ...] = (
             (self.state, int(compiled.num_draws)),
         )
@@ -586,9 +585,6 @@ class CompiledCascadeEngine:
         reduction — see :mod:`repro.diffusion.parallel`.  When ``shard_size``
         is not set explicitly, a default of ``ceil(num_worlds / (4 ×
         workers))`` keeps every worker busy with several blocks.
-    start_method:
-        Optional multiprocessing start method (``"fork"``/``"spawn"``/...);
-        default prefers ``fork`` where available.
     pool:
         Optional injected :class:`~repro.diffusion.parallel.SharedShardPool`.
         The engine registers its sampler on the shared pool instead of
@@ -636,7 +632,6 @@ class CompiledCascadeEngine:
         *,
         shard_size: Optional[int] = None,
         workers: Optional[int] = None,
-        start_method: Optional[str] = None,
         pool=None,
         use_kernel: Optional[bool] = None,
         shared_memory: Optional[bool] = None,
@@ -656,7 +651,6 @@ class CompiledCascadeEngine:
             raise EstimationError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.pool = pool
-        self._start_method = start_method
 
         # Zero-copy shared-memory transport: auto-on for multiprocess runs.
         share = (
@@ -1139,7 +1133,6 @@ class CompiledCascadeEngine:
                 num_worlds=self.num_worlds,
                 shard_size=self.shard_size,
                 workers=self.workers,
-                start_method=self._start_method,
                 pool=self.pool,
                 use_kernel=self._kernel is not None,
             )

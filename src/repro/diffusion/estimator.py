@@ -78,14 +78,12 @@ class EvaluationPlan:
     most once) and :meth:`add` refuses new entries afterwards.
     """
 
-    __slots__ = ("estimator", "_deployments", "_benefits", "_want_probabilities", "_probabilities")
+    __slots__ = ("estimator", "_deployments", "_benefits")
 
     def __init__(self, estimator: "BenefitEstimator") -> None:
         self.estimator = estimator
         self._deployments: List[DeploymentSpec] = []
         self._benefits: Optional[List[float]] = None
-        self._want_probabilities: Set[int] = set()
-        self._probabilities: Dict[int, Dict[NodeId, float]] = {}
 
     def __len__(self) -> int:
         return len(self._deployments)
@@ -95,27 +93,12 @@ class EvaluationPlan:
         """Whether the plan's batch has already run."""
         return self._benefits is not None
 
-    def add(
-        self,
-        seeds: Iterable[NodeId],
-        allocation: Mapping[NodeId, int],
-        *,
-        want_probabilities: bool = False,
-    ) -> int:
-        """Enqueue one deployment; returns its slot index in the results.
-
-        ``want_probabilities`` marks the slot as also needing its per-user
-        activation probabilities; :meth:`execute` fetches them right after the
-        batch runs, while the estimator's caches are still warm from the same
-        pipelined pass, and :meth:`probabilities` reads them back.
-        """
+    def add(self, seeds: Iterable[NodeId], allocation: Mapping[NodeId, int]) -> int:
+        """Enqueue one deployment; returns its slot index in the results."""
         if self._benefits is not None:
             raise RuntimeError("EvaluationPlan already executed; build a new plan")
         self._deployments.append((seeds, allocation))
-        slot = len(self._deployments) - 1
-        if want_probabilities:
-            self._want_probabilities.add(slot)
-        return slot
+        return len(self._deployments) - 1
 
     def execute(self) -> List[float]:
         """Run the batch through the estimator's scheduler (idempotent).
@@ -126,11 +109,6 @@ class EvaluationPlan:
         """
         if self._benefits is None:
             self._benefits = self.estimator.submit_many(self._deployments)
-            for slot in sorted(self._want_probabilities):
-                seeds, allocation = self._deployments[slot]
-                self._probabilities[slot] = self.estimator.activation_probabilities(
-                    seeds, allocation
-                )
         return self._benefits
 
     def benefit(self, slot: int) -> float:
@@ -138,16 +116,6 @@ class EvaluationPlan:
         if self._benefits is None:
             raise RuntimeError("EvaluationPlan not executed yet")
         return self._benefits[slot]
-
-    def probabilities(self, slot: int) -> Dict[NodeId, float]:
-        """Activation probabilities for a slot added with ``want_probabilities``."""
-        if self._benefits is None:
-            raise RuntimeError("EvaluationPlan not executed yet")
-        if slot not in self._probabilities:
-            raise KeyError(
-                f"slot {slot} was not added with want_probabilities=True"
-            )
-        return self._probabilities[slot]
 
 
 class BenefitEstimator(ABC):

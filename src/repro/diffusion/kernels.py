@@ -273,8 +273,8 @@ static uint32_t repro_bounded_uint32(repro_bitgen_t *bitgen, uint32_t rng)
     return (uint32_t)(m >> 32);
 }
 
-/* Line-for-line the dict-adjacency reverse BFS of repro/diffusion/rr_sets.py
- * (RRSetSampler._sample_one_dict), drawing the same numbers in the same
+/* Line-for-line the dict-adjacency reverse BFS of the tests' RR oracle
+ * (tests/oracles.py, DictRRSampler), drawing the same numbers in the same
  * order: one target per set, then one coin per not-yet-visited in-neighbour
  * in reverse-CSR order. */
 int64_t repro_sample_rr_sets(
@@ -574,10 +574,10 @@ class CascadeKernel:
         writes its root to ``root_index[s]``, its members in visit order to
         ``flat`` from ``rr_offsets[s]`` and its end to ``rr_offsets[s + 1]``,
         and marks its members with ``s`` in ``stamp`` (``num_nodes`` entries,
-        none equal to a set id from ``first`` on).  ``rng`` ends where
-        :meth:`~repro.diffusion.rr_sets.RRSetSampler._sample_one_dict` leaves
-        it.  Stops before a set that might not fit in ``flat`` and returns how
-        many sets it finished.
+        none equal to a set id from ``first`` on).  ``rng`` ends where the
+        dict-adjacency oracle (``tests/oracles.py``) leaves it.  Stops before
+        a set that might not fit in ``flat`` and returns how many sets it
+        finished.
         """
         num_nodes = rin_offsets.shape[0] - 1
         if (

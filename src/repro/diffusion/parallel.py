@@ -72,6 +72,10 @@ from repro.exceptions import EstimationError
 #: Blocks each worker keeps materialised between tasks (per registered sampler).
 _WORKER_CACHE_BLOCKS = 4
 
+#: Signals the parent defers while it forks a pool's workers (see
+#: :class:`SharedShardPool`); workers unblock them in :func:`_init_worker`.
+_DEFERRED_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
 #: Seconds a worker waits at the registration barrier before giving up; only
 #: reached when a sibling worker died mid-broadcast.
 _BARRIER_TIMEOUT = 120.0
@@ -125,13 +129,13 @@ def shutdown_live_pools() -> int:
 class _WorkerState:
     """Everything one worker process needs to evaluate one sampler's blocks."""
 
-    def __init__(self, sampler: WorldSampler, cache_blocks: int) -> None:
+    def __init__(self, sampler: WorldSampler) -> None:
         num_nodes = sampler.compiled.num_nodes
         self.sampler = sampler
         self.visited: List[int] = [0] * num_nodes
         self.coupons: List[int] = [0] * num_nodes
         self.stamp = 0
-        self.cache = BlockCache(sampler, cache_blocks)
+        self.cache = BlockCache(sampler, _WORKER_CACHE_BLOCKS)
         # Native-kernel resources, resolved lazily on the first kernel-tagged
         # task so workers of a no-kernel engine never pay backend resolution.
         # The kernel path keeps its own numpy-typed buffers and stamp stream;
@@ -164,14 +168,17 @@ def _init_worker(barrier) -> None:
     # an exception); restore the default so ``Pool.terminate()`` still stops
     # workers silently.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # Workers inherit the mask the parent held while forking them.
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _DEFERRED_SIGNALS)
     _WORKER_BARRIER = barrier
     _WORKER_STATES = {}
 
 
-def _install_sampler(args: Tuple[int, WorldSampler, int]) -> int:
+def _install_sampler(args: Tuple[int, WorldSampler]) -> int:
     """Store a sampler in this worker; the barrier forces one task per worker."""
-    token, sampler, cache_blocks = args
-    _WORKER_STATES[token] = _WorkerState(sampler, cache_blocks)
+    token, sampler = args
+    _WORKER_STATES[token] = _WorkerState(sampler)
     _WORKER_BARRIER.wait(timeout=_BARRIER_TIMEOUT)
     return token
 
@@ -256,40 +263,23 @@ class SharedShardPool:
     workers:
         Pool size.  Fixed for the pool's lifetime; executors built on an
         injected pool inherit it.
-    start_method:
-        Optional multiprocessing start method; default prefers ``fork`` on
-        Linux and the platform default elsewhere.
-    cache_blocks:
-        Shard blocks each worker keeps materialised per registered sampler.
 
     The pool is a context manager; it is also guarded by a
     :func:`weakref.finalize` that terminates the workers when the pool is
     garbage collected or the interpreter exits, so a leaked pool cannot keep
     worker processes alive past program end.
+
+    SIGINT and SIGTERM are blocked while the workers are forked and until
+    the pool is registered for :func:`shutdown_live_pools`; one arriving in
+    that window is delivered when the constructor restores the mask.
+    Unblocked, it would land in the interpreter's at-fork hooks, which
+    report it as "Exception ignored" and let the program run on.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        start_method: Optional[str] = None,
-        cache_blocks: int = _WORKER_CACHE_BLOCKS,
-    ) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise EstimationError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.cache_blocks = cache_blocks
-        if start_method is None:
-            # Prefer the cheap fork start-up only on Linux: macOS offers
-            # fork too, but forking after ObjC-framework initialisation is
-            # unsafe there (the reason CPython switched its default to
-            # spawn), so everywhere else the platform default stands.
-            start_method = "fork" if sys.platform == "linux" else None
-        context = multiprocessing.get_context(start_method)
-        self._barrier = context.Barrier(self.workers)
-        self._pool = context.Pool(
-            self.workers, initializer=_init_worker, initargs=(self._barrier,)
-        )
         # token -> sampler: the strong reference keeps id() keys stable.
         self._samplers: Dict[int, WorldSampler] = {}
         self._token_by_id: Dict[int, int] = {}
@@ -302,8 +292,28 @@ class SharedShardPool:
         self.broadcast_bytes_total = 0
         self.last_broadcast_seconds = 0.0
         self.broadcast_seconds_total = 0.0
-        self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
-        _LIVE_POOLS.add(self)
+        # Prefer the cheap fork start-up only on Linux: macOS offers fork
+        # too, but forking after ObjC-framework initialisation is unsafe
+        # there (the reason CPython switched its default to spawn), so
+        # everywhere else the platform default stands.
+        context = multiprocessing.get_context(
+            "fork" if sys.platform == "linux" else None
+        )
+        defer = hasattr(signal, "pthread_sigmask")
+        if defer:
+            previous_mask = signal.pthread_sigmask(
+                signal.SIG_BLOCK, _DEFERRED_SIGNALS
+            )
+        try:
+            self._barrier = context.Barrier(self.workers)
+            self._pool = context.Pool(
+                self.workers, initializer=_init_worker, initargs=(self._barrier,)
+            )
+            self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
+            _LIVE_POOLS.add(self)
+        finally:
+            if defer:
+                signal.pthread_sigmask(signal.SIG_SETMASK, previous_mask)
 
     # ------------------------------------------------------------------
 
@@ -331,7 +341,7 @@ class SharedShardPool:
         # payload is a segment descriptor (hundreds of bytes); with a
         # private graph it is the whole CSR.  The extra dump costs one
         # serialization per register — once per estimator, not per task.
-        payload = (token, sampler, self.cache_blocks)
+        payload = (token, sampler)
         self.last_broadcast_bytes = len(
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         )
@@ -467,8 +477,6 @@ class ShardExecutor:
         num_worlds: int,
         shard_size: int,
         workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        cache_blocks: int = _WORKER_CACHE_BLOCKS,
         pool: Optional[SharedShardPool] = None,
         use_kernel: bool = False,
     ) -> None:
@@ -484,11 +492,7 @@ class ShardExecutor:
         if pool is None:
             if workers is None:
                 raise EstimationError("either workers or pool is required")
-            pool = SharedShardPool(
-                min(int(workers), len(self._blocks)),
-                start_method=start_method,
-                cache_blocks=cache_blocks,
-            )
+            pool = SharedShardPool(min(int(workers), len(self._blocks)))
             self._owns_pool = True
         else:
             self._owns_pool = False
@@ -531,12 +535,6 @@ class ShardExecutor:
         ]
         iterator = self.pool.imap_unordered(tasks)
         return PendingCounts(iterator, len(tasks), self.num_nodes, owner=self)
-
-    def run_counts(
-        self, seed_indices: List[int], coupon_items: List[Tuple[int, int]]
-    ) -> np.ndarray:
-        """Activation counts over every world, reduced in block order."""
-        return self.submit(seed_indices, coupon_items).result()
 
     def close(self) -> None:
         """Release the executor: owned pools shut down, injected pools stay."""

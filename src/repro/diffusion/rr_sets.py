@@ -10,18 +10,19 @@ maximum-coverage problem over the sampled RR sets.
 
 This module provides that machinery for the **plain IC model** (the model the
 IM/PM baselines reason in).  It is used as the screening tier of the two-tier
-estimator (:mod:`repro.diffusion.tiered`), as a faster backend for the IM
-selector on larger graphs, and as an independent cross-check of the
-Monte-Carlo estimator in tests.  Note that it does not apply to the
+estimator (:mod:`repro.diffusion.tiered`), as the ``rr`` estimator method,
+and as an independent cross-check of the Monte-Carlo estimator in tests.
+The IM baselines price spreads through their estimator, not through
+:meth:`RRSetSampler.greedy_seeds`.  Note that it does not apply to the
 SC-constrained cascade: coupon limits break the reverse-reachability argument
 because whether an edge can carry influence depends on how many *other*
 neighbours redeemed first.
 
-Backends
+Sampling
 --------
-Sampling runs over a reverse-adjacency CSR built once per sampler
-(``backend="csr"``, the default), which preserves each node's
-``in_neighbors`` iteration order.  Whenever the native kernel loads
+Sampling runs over a reverse-adjacency CSR built once per sampler, which
+preserves each node's ``in_neighbors`` iteration order.  Whenever the native
+kernel loads
 (:func:`repro.diffusion.kernels.load_kernel`), one call of its
 ``sample_rr_sets`` entry samples every set, drawing from the sampler's own
 generator exactly what the dict-adjacency BFS draws: an ``integers(0, n)``
@@ -33,8 +34,8 @@ drawn with one ``rng.random(k)`` call, which numpy fills with exactly the
 ``k`` doubles that ``k`` scalar calls would produce.  Both paths therefore
 consume the RNG stream *identically* to the original dict-adjacency BFS —
 the sets are bit-for-bit equal and the generator ends in the same state
-(property-tested in ``tests/properties/test_rr_parity.py``).  The dict path
-is kept as the parity oracle (``backend="dict"``).
+(property-tested in ``tests/properties/test_rr_parity.py`` against the dict
+BFS, which ``tests/oracles.py`` keeps as the parity oracle).
 
 Either way the sampled sets land in flat int arrays (``rr_flat`` /
 ``rr_offsets`` / ``root_index``) plus an inverted membership CSR, so coverage
@@ -44,7 +45,6 @@ can ride the shared-memory machinery unchanged.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
     Dict,
     FrozenSet,
@@ -54,7 +54,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -69,8 +68,6 @@ from repro.utils.rng import SeedLike, spawn_rng
 
 NodeId = Hashable
 
-SAMPLER_BACKENDS = ("csr", "dict")
-
 
 class RRSetSampler:
     """Sampler and coverage-based spread estimator over RR sets.
@@ -83,10 +80,6 @@ class RRSetSampler:
         Number of RR sets to sample.  More sets = lower estimation variance.
     seed:
         RNG seed; the sampler is fully deterministic given it.
-    backend:
-        ``"csr"`` (default) samples over the flat reverse-adjacency arrays;
-        ``"dict"`` keeps the original dict-adjacency BFS as the parity
-        oracle.  Both produce bit-identical sets for the same seed.
     """
 
     def __init__(
@@ -94,17 +87,11 @@ class RRSetSampler:
         graph: SocialGraph,
         num_sets: int = 2000,
         seed: SeedLike = None,
-        backend: str = "csr",
     ) -> None:
         if num_sets <= 0:
             raise EstimationError(f"num_sets must be > 0, got {num_sets}")
-        if backend not in SAMPLER_BACKENDS:
-            raise EstimationError(
-                f"unknown RR sampler backend {backend!r}; pick one of {SAMPLER_BACKENDS}"
-            )
         self.graph = graph
         self.num_sets = int(num_sets)
-        self.backend = backend
         self._rng = spawn_rng(seed)
         self._nodes: List[NodeId] = list(graph.nodes())
         if not self._nodes:
@@ -121,11 +108,8 @@ class RRSetSampler:
         self._materialized: Optional[List[FrozenSet[NodeId]]] = None
         self._mem_offsets: Optional[np.ndarray] = None
         self._mem_sets: Optional[np.ndarray] = None
-        if backend == "csr":
-            self._build_reverse_csr()
-            self._sample_all_csr()
-        else:
-            self._sample_all_dict()
+        self._build_reverse_csr()
+        self._sample_all()
         self.roots: List[NodeId] = [self._nodes[i] for i in self.root_index]
 
     @property
@@ -147,14 +131,14 @@ class RRSetSampler:
         return self._materialized
 
     # ------------------------------------------------------------------
-    # sampling backends
+    # sampling
 
     def _build_reverse_csr(self) -> None:
         """Reverse adjacency in ``in_neighbors`` iteration order per node.
 
         The per-node ordering matters: the BFS draws one coin per unvisited
         in-neighbour in iteration order, so preserving it is what keeps the
-        CSR backend bit-identical to the dict path.
+        sampler bit-identical to the dict-adjacency BFS.
         """
         index_of = self.index_of
         offsets = np.zeros(len(self._nodes) + 1, dtype=np.int64)
@@ -180,7 +164,7 @@ class RRSetSampler:
             self._rin_sources = np.empty(0, dtype=np.int64)
             self._rin_probs = np.empty(0, dtype=np.float64)
 
-    def _sample_all_csr(self) -> None:
+    def _sample_all(self) -> None:
         """Every set over the reverse CSR: one native call, or the numpy loop.
 
         The native entry writes into a flat buffer and stops before a set
@@ -256,42 +240,6 @@ class RRSetSampler:
             rr_offsets[set_id + 1] = rr_offsets[set_id] + tail
         return np.concatenate(chunks)
 
-    def _sample_all_dict(self) -> None:
-        sampled = [self._sample_one_dict() for _ in range(self.num_sets)]
-        index_of = self.index_of
-        rr_offsets = np.zeros(self.num_sets + 1, dtype=np.int64)
-        chunks: List[np.ndarray] = []
-        root_index = np.empty(self.num_sets, dtype=np.int64)
-        for set_id, (root, members) in enumerate(sampled):
-            root_index[set_id] = index_of[root]
-            rr_offsets[set_id + 1] = rr_offsets[set_id] + len(members)
-            chunks.append(
-                np.fromiter(
-                    (index_of[node] for node in members), np.int64, len(members)
-                )
-            )
-        self.rr_flat = (
-            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        )
-        self.rr_offsets = rr_offsets
-        self.root_index = root_index
-        self._materialized = [frozenset(members) for _, members in sampled]
-
-    def _sample_one_dict(self) -> Tuple[NodeId, Set[NodeId]]:
-        """One RR set: reverse BFS from a random target over live in-edges."""
-        target = self._nodes[int(self._rng.integers(0, len(self._nodes)))]
-        visited: Set[NodeId] = {target}
-        frontier = deque([target])
-        while frontier:
-            node = frontier.popleft()
-            for source, probability in self.graph.in_neighbors(node).items():
-                if source in visited:
-                    continue
-                if self._rng.random() < probability:
-                    visited.add(source)
-                    frontier.append(source)
-        return target, visited
-
     # ------------------------------------------------------------------
     # membership CSR (node -> sampled sets containing it) and coverage
 
@@ -307,12 +255,6 @@ class RRSetSampler:
         self._mem_sets = set_ids[order]
         self._mem_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(counts, out=self._mem_offsets[1:])
-
-    def member_sets(self, index: int) -> np.ndarray:
-        """Ids of the sampled sets containing node *index* (ascending)."""
-        self._ensure_membership()
-        assert self._mem_offsets is not None and self._mem_sets is not None
-        return self._mem_sets[self._mem_offsets[index] : self._mem_offsets[index + 1]]
 
     def _seed_indices(self, seeds: Iterable[NodeId]) -> List[int]:
         index_of = self.index_of
@@ -411,12 +353,9 @@ class RRBenefitEstimator(BenefitEstimator):
         graph: SocialGraph,
         num_sets: int = 2000,
         seed: SeedLike = None,
-        backend: str = "csr",
     ) -> None:
         super().__init__(graph)
-        self.sampler = RRSetSampler(
-            graph, num_sets=num_sets, seed=seed, backend=backend
-        )
+        self.sampler = RRSetSampler(graph, num_sets=num_sets, seed=seed)
         self._by_root: Dict[NodeId, List[int]] = {}
         for index, root in enumerate(self.sampler.roots):
             self._by_root.setdefault(root, []).append(index)

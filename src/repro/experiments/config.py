@@ -46,7 +46,6 @@ class ExperimentConfig:
     lam: float = 1.0
     kappa: float = 10.0
     num_samples: int = 100
-    repetitions: int = 3
     seed: int = 2019
     candidate_limit: Optional[int] = 25
     max_pivot_candidates: Optional[int] = 150
@@ -70,8 +69,6 @@ class ExperimentConfig:
             raise ExperimentError(f"scale must be > 0, got {self.scale}")
         if self.num_samples <= 0:
             raise ExperimentError(f"num_samples must be > 0, got {self.num_samples}")
-        if self.repetitions <= 0:
-            raise ExperimentError(f"repetitions must be > 0, got {self.repetitions}")
         if self.lam <= 0 or self.kappa <= 0:
             raise ExperimentError("lam and kappa must be > 0")
         for name in ("candidate_limit", "max_pivot_candidates"):

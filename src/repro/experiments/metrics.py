@@ -71,13 +71,6 @@ def explored_ratio(explored_nodes: int, graph: SocialGraph) -> float:
     return explored_nodes / graph.num_nodes
 
 
-def expected_total_benefit(
-    deployment: Deployment, estimator: BenefitEstimator
-) -> float:
-    """Expected benefit of the deployment (Fig. 6(b)'s metric)."""
-    return deployment.expected_benefit(estimator)
-
-
 def redemption_rate(deployment: Deployment, estimator: BenefitEstimator) -> float:
     """The S3CRM objective for a deployment."""
     return deployment.redemption_rate(estimator)

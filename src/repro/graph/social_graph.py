@@ -151,11 +151,6 @@ class SocialGraph:
         self._attrs[node] = attributes
         self._attribute_version += 1
 
-    def update_attributes(self, mapping: Mapping[NodeId, NodeAttributes]) -> None:
-        """Replace the attributes of several nodes at once."""
-        for node, attributes in mapping.items():
-            self.set_attributes(node, attributes)
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------

@@ -31,6 +31,9 @@ logger = logging.getLogger(__name__)
 #: Terminal sentinel shipped once per worker at shutdown.
 _STOP = object()
 
+#: Seconds between status checks in :meth:`JobManager.wait`.
+_WAIT_POLL_SECONDS = 0.02
+
 JOB_STATUSES = ("queued", "running", "done", "failed", "cancelled")
 
 
@@ -124,7 +127,7 @@ class JobManager:
         with self._lock:
             return sorted(self._jobs.values(), key=lambda job: job.created_at)
 
-    def wait(self, job_id: str, timeout: float = 60.0, poll: float = 0.02) -> Job:
+    def wait(self, job_id: str, timeout: float = 60.0) -> Job:
         """Block until a job reaches a terminal status (test/client helper)."""
         deadline = time.monotonic() + timeout
         while True:
@@ -133,7 +136,7 @@ class JobManager:
                 return job
             if time.monotonic() >= deadline:
                 raise TimeoutError(f"job {job_id} still {job.status} after {timeout}s")
-            time.sleep(poll)
+            time.sleep(_WAIT_POLL_SECONDS)
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop accepting jobs, cancel the queued ones, join the workers."""

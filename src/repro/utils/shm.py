@@ -254,12 +254,6 @@ def sweep_owned() -> int:
 atexit.register(sweep_owned)
 
 
-def owned_segment_names() -> List[str]:
-    """Names this process currently owns (leak-probe introspection)."""
-    pid = os.getpid()
-    return [name for name, owner in _OWNED.items() if owner == pid]
-
-
 # ----------------------------------------------------------------------
 # array packing
 # ----------------------------------------------------------------------

@@ -159,31 +159,6 @@ def test_knob_validation():
         make_estimator(scenario, "tiered", num_samples=10, seed=1, tier_top_k=0)
 
 
-# ----------------------------------------------------------------------
-# the EvaluationPlan want_probabilities extension this PR rides on
-# ----------------------------------------------------------------------
-
-
-def test_plan_want_probabilities(scenario):
-    estimator = make_estimator(scenario, num_samples=20, seed=SEED)
-    try:
-        nodes = sorted(scenario.graph.nodes(), key=str)[:3]
-        plan = estimator.plan()
-        flagged = plan.add([nodes[0]], {}, want_probabilities=True)
-        plain = plan.add([nodes[1]], {})
-        with pytest.raises(RuntimeError):
-            plan.probabilities(flagged)
-        plan.execute()
-        assert plan.probabilities(flagged) == (
-            estimator.activation_probabilities([nodes[0]], {})
-        )
-        with pytest.raises(KeyError):
-            plan.probabilities(plain)
-        assert plan.benefit(plain) == estimator.expected_benefit([nodes[1]], {})
-    finally:
-        estimator.close()
-
-
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

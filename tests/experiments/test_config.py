@@ -27,7 +27,6 @@ def test_replace_returns_modified_copy():
     [
         {"scale": 0},
         {"num_samples": 0},
-        {"repetitions": 0},
         {"lam": 0},
         {"kappa": -1},
         {"candidate_limit": 0},

@@ -12,7 +12,7 @@ from repro.experiments.runner import ExperimentRunner, RunRecord
 
 @pytest.fixture
 def tiny_config():
-    return ExperimentConfig(num_samples=40, repetitions=1, seed=5, candidate_limit=5)
+    return ExperimentConfig(num_samples=40, seed=5, candidate_limit=5)
 
 
 @pytest.fixture

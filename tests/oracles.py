@@ -15,16 +15,32 @@ visit re-runs the uncached SC-cost recurrence for every holder of the
 tentative allocation and re-sums the visited users' benefits.  The library's
 :func:`~repro.core.guaranteed_paths.identify_guaranteed_paths` must return
 the same paths, float for float.
+
+:class:`DictRRSampler` samples RR sets by the dict-adjacency reverse BFS, one
+scalar draw at a time: one ``integers(0, n)`` target per set, then one double
+per not-yet-visited in-neighbour in ``in_neighbors`` order.
+:class:`~repro.diffusion.rr_sets.RRSetSampler` (its native entry and its
+numpy loop) must sample the same sets and leave the generator in the same
+state; :func:`dict_rr_estimator` builds an
+:class:`~repro.diffusion.rr_sets.RRBenefitEstimator` on the oracle's sets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set
+from collections import deque
+from typing import (
+    Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
+)
+from unittest import mock
+
+import numpy as np
 
 from repro.core.allocation import expected_sc_cost
 from repro.core.deployment import Deployment
 from repro.core.guaranteed_paths import GPIResult, GuaranteedPath
+from repro.diffusion import rr_sets
 from repro.diffusion.live_edge import cascade_in_world, sample_worlds
+from repro.diffusion.rr_sets import RRBenefitEstimator, RRSetSampler
 from repro.graph.social_graph import SocialGraph
 from repro.utils.rng import SeedLike
 
@@ -141,3 +157,51 @@ def _reference_traverse(
             dfs(child, depth + 1)
 
     dfs(seed, 0)
+
+
+class DictRRSampler(RRSetSampler):
+    """RR sets by reverse BFS over dict adjacency, in the library's flat layout."""
+
+    def _sample_all(self) -> None:
+        sampled = [self._sample_one() for _ in range(self.num_sets)]
+        index_of = self.index_of
+        rr_offsets = np.zeros(self.num_sets + 1, dtype=np.int64)
+        chunks: List[np.ndarray] = []
+        root_index = np.empty(self.num_sets, dtype=np.int64)
+        for set_id, (root, members) in enumerate(sampled):
+            root_index[set_id] = index_of[root]
+            rr_offsets[set_id + 1] = rr_offsets[set_id] + len(members)
+            chunks.append(
+                np.fromiter(
+                    (index_of[node] for node in members), np.int64, len(members)
+                )
+            )
+        self.rr_flat = (
+            np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        )
+        self.rr_offsets = rr_offsets
+        self.root_index = root_index
+        self._materialized = [frozenset(members) for _, members in sampled]
+
+    def _sample_one(self) -> Tuple[NodeId, Set[NodeId]]:
+        """One RR set: reverse BFS from a random target over live in-edges."""
+        target = self._nodes[int(self._rng.integers(0, len(self._nodes)))]
+        visited: Set[NodeId] = {target}
+        frontier = deque([target])
+        while frontier:
+            node = frontier.popleft()
+            for source, probability in self.graph.in_neighbors(node).items():
+                if source in visited:
+                    continue
+                if self._rng.random() < probability:
+                    visited.add(source)
+                    frontier.append(source)
+        return target, visited
+
+
+def dict_rr_estimator(
+    graph: SocialGraph, num_sets: int, seed: SeedLike
+) -> RRBenefitEstimator:
+    """An :class:`RRBenefitEstimator` whose sketch :class:`DictRRSampler` samples."""
+    with mock.patch.object(rr_sets, "RRSetSampler", DictRRSampler):
+        return RRBenefitEstimator(graph, num_sets=num_sets, seed=seed)

@@ -1,8 +1,8 @@
 """Parity suite: the CSR RR-set sampler vs the dict-adjacency oracle.
 
-The CSR backend of :class:`~repro.diffusion.rr_sets.RRSetSampler` promises
-*bit-identity* with the original dict-adjacency reverse BFS, on both of its
-paths: the native entry
+:class:`~repro.diffusion.rr_sets.RRSetSampler` promises *bit-identity* with
+the dict-adjacency reverse BFS (:class:`tests.oracles.DictRRSampler`), on
+both of its paths: the native entry
 (:meth:`~repro.diffusion.kernels.CascadeKernel.sample_rr_sets`), which draws
 from the sampler's own generator through numpy's ``bitgen_t`` interface, and
 the numpy loop kept for hosts without a native backend.  Each draws the same
@@ -30,6 +30,7 @@ from repro.diffusion import kernels
 from repro.diffusion.rr_sets import RRBenefitEstimator, RRSetSampler
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.social_graph import SocialGraph
+from tests.oracles import DictRRSampler, dict_rr_estimator
 
 NUM_SETS = 40
 
@@ -86,7 +87,7 @@ def graph_instance(draw):
 
 def _csr_sampler(graph, seed, path):
     with sampling_path(path):
-        return RRSetSampler(graph, num_sets=NUM_SETS, seed=seed, backend="csr")
+        return RRSetSampler(graph, num_sets=NUM_SETS, seed=seed)
 
 
 def _assert_same_sets(csr, oracle):
@@ -116,7 +117,7 @@ def test_csr_sampler_bit_identical_to_dict_oracle(graph, seed, bit_generator):
         rng = Generator(bit_generator(seed))
         oracle_rng = Generator(bit_generator(seed))
         csr = _csr_sampler(graph, rng, path)
-        oracle = RRSetSampler(graph, num_sets=NUM_SETS, seed=oracle_rng, backend="dict")
+        oracle = DictRRSampler(graph, num_sets=NUM_SETS, seed=oracle_rng)
         _assert_same_sets(csr, oracle)
         _assert_same_stream(rng, oracle_rng)
 
@@ -177,7 +178,7 @@ def test_native_entry_stops_on_a_full_buffer_and_resumes():
     ) == 0
     assert rng.bit_generator.state == state
 
-    oracle = RRSetSampler(graph, num_sets=NUM_SETS, seed=oracle_rng, backend="dict")
+    oracle = DictRRSampler(graph, num_sets=NUM_SETS, seed=oracle_rng)
     assert (root_index == oracle.root_index).all()
     assert (rr_offsets == oracle.rr_offsets).all()
     assert [
@@ -207,7 +208,7 @@ def test_target_draw_rejection_branch_matches_oracle():
     for path in sampling_paths():
         rng, oracle_rng = rejecting(), rejecting()
         csr = _csr_sampler(graph, rng, path)
-        oracle = RRSetSampler(graph, num_sets=NUM_SETS, seed=oracle_rng, backend="dict")
+        oracle = DictRRSampler(graph, num_sets=NUM_SETS, seed=oracle_rng)
         _assert_same_sets(csr, oracle)
         _assert_same_stream(rng, oracle_rng)
 
@@ -249,7 +250,7 @@ def test_native_entry_checks_its_arguments():
     st.data(),
 )
 def test_coverage_and_spread_match_across_backends(graph, seed, data):
-    oracle = RRSetSampler(graph, num_sets=NUM_SETS, seed=seed, backend="dict")
+    oracle = DictRRSampler(graph, num_sets=NUM_SETS, seed=seed)
     nodes = list(graph.nodes())
     seeds = data.draw(
         st.lists(st.sampled_from(nodes), min_size=1, max_size=3, unique=True)
@@ -270,16 +271,14 @@ def test_coverage_and_spread_match_across_backends(graph, seed, data):
     st.data(),
 )
 def test_rr_estimator_probabilities_and_bounds_match(graph, seed, data):
-    oracle = RRBenefitEstimator(graph, num_sets=NUM_SETS, seed=seed, backend="dict")
+    oracle = dict_rr_estimator(graph, NUM_SETS, seed)
     nodes = list(graph.nodes())
     seeds = data.draw(
         st.lists(st.sampled_from(nodes), min_size=1, max_size=3, unique=True)
     )
     for path in sampling_paths():
         with sampling_path(path):
-            csr = RRBenefitEstimator(
-                graph, num_sets=NUM_SETS, seed=seed, backend="csr"
-            )
+            csr = RRBenefitEstimator(graph, num_sets=NUM_SETS, seed=seed)
         assert csr.activation_probabilities(seeds, {}) == (
             oracle.activation_probabilities(seeds, {})
         )
@@ -303,7 +302,7 @@ def test_greedy_seeds_identical_across_backends():
         source, target = rng.integers(0, 30, size=2)
         if source != target:
             graph.add_edge(int(source), int(target), float(rng.random()))
-    oracle = RRSetSampler(graph, num_sets=NUM_SETS, seed=13, backend="dict")
+    oracle = DictRRSampler(graph, num_sets=NUM_SETS, seed=13)
     for path in sampling_paths():
         csr = _csr_sampler(graph, 13, path)
         assert csr.greedy_seeds(5) == oracle.greedy_seeds(5)

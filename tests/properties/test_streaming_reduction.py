@@ -46,7 +46,7 @@ class ShufflingFakePool:
     def register(self, sampler) -> int:
         token = self._next_token
         self._next_token += 1
-        self._states[token] = parallel._WorkerState(sampler, cache_blocks=4)
+        self._states[token] = parallel._WorkerState(sampler)
         return token
 
     def release(self, token) -> None:

@@ -206,26 +206,17 @@ def test_shutdown_live_pools_closes_everything():
     assert shutdown_live_pools() == 0  # idempotent
 
 
-@pytest.mark.skipif(
-    not __import__("sys").platform.startswith("linux"),
-    reason="watches the CLI's pool through /proc (Linux only)",
-)
-@pytest.mark.parametrize(
-    "signum, exit_code, message",
-    [
-        (signal.SIGINT, 130, "interrupted"),
-        (signal.SIGTERM, 143, "terminated"),
-    ],
-    ids=["SIGINT", "SIGTERM"],
-)
-def test_sigint_mid_solve_exits_clean(tmp_path, signum, exit_code, message):
-    """SIGINT or SIGTERM during a multi-worker solve: clean exit, no shm residue.
+def _signal_solve(signum, exit_code, message, ready, poll_seconds):
+    """Signal a multi-worker CLI solve once ``ready(pid)``; check a clean exit.
 
-    Runs the real CLI in a subprocess, signals it while workers are busy,
-    and checks the three acceptance properties: exit code 130 (SIGINT) or
-    143 (SIGTERM), no Python traceback, and no new /dev/shm/repro-* segments
+    Runs the real CLI in a subprocess and its own session, polls
+    ``ready(pid)`` every ``poll_seconds``, sends ``signum`` once it holds, and
+    checks the three acceptance properties: exit code 130 (SIGINT) or 143
+    (SIGTERM), no Python traceback, and no new /dev/shm/repro-* segments
     surviving the process.  The full-budget solve keeps the pool busy for
-    seconds after it starts.
+    seconds after it starts.  Whatever happens, the CLI's session group is
+    killed at the end: pool workers inherit it, so no worker outlives the
+    test even when the CLI hangs or exits without tearing its pool down.
     """
     import glob
     import os
@@ -250,35 +241,18 @@ def test_sigint_mid_solve_exits_clean(tmp_path, signum, exit_code, message):
         start_new_session=True,
         text=True,
     )
-
-    def pool_started():
-        """Whether the CLI's worker pool is up: its two forked workers, and
-        the three handler threads the pool starts after forking them."""
-        pid = process.pid
-        try:
-            with open(f"/proc/{pid}/task/{pid}/children") as handle:
-                workers = handle.read().split()
-            threads = os.listdir(f"/proc/{pid}/task")
-        except OSError:  # the CLI already exited
-            return False
-        return len(workers) >= 2 and len(threads) >= 4
-
     try:
-        # Interrupt the solve once its pool is up, however fast the machine.
-        # Not earlier: a SIGINT landing in the interpreter's at-fork handlers
-        # is reported as "Exception ignored" and the solve runs on.
         deadline = time.monotonic() + 30
-        while not pool_started() and process.poll() is None:
+        while not ready(process.pid) and process.poll() is None:
             if time.monotonic() > deadline:
                 pytest.fail("the CLI's worker pool did not start within 30s")
-            time.sleep(0.02)
+            time.sleep(poll_seconds)
         if process.poll() is not None:  # pragma: no cover - solve too fast
             pytest.skip("solve finished before the interrupt could land")
         process.send_signal(signum)
         try:
             _, stderr = process.communicate(timeout=30)
         except subprocess.TimeoutExpired:  # pragma: no cover - hang guard
-            process.kill()
             pytest.fail(f"CLI did not exit within 30s of {message}")
         assert process.returncode == exit_code, stderr
         assert "Traceback" not in stderr, stderr
@@ -286,5 +260,78 @@ def test_sigint_mid_solve_exits_clean(tmp_path, signum, exit_code, message):
         leaked = set(glob.glob("/dev/shm/repro-*")) - before
         assert not leaked, f"shm segments leaked past {message}: {sorted(leaked)}"
     finally:
-        if process.poll() is None:  # pragma: no cover - cleanup fallback
+        try:
             os.killpg(process.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        process.wait()
+
+
+def _workers_of(pid):
+    """Pids of the CLI's child processes (its forked pool workers)."""
+    with open(f"/proc/{pid}/task/{pid}/children") as handle:
+        return handle.read().split()
+
+
+requires_proc = pytest.mark.skipif(
+    not __import__("sys").platform.startswith("linux"),
+    reason="watches the CLI's pool through /proc (Linux only)",
+)
+
+signals = pytest.mark.parametrize(
+    "signum, exit_code, message",
+    [
+        (signal.SIGINT, 130, "interrupted"),
+        (signal.SIGTERM, 143, "terminated"),
+    ],
+    ids=["SIGINT", "SIGTERM"],
+)
+
+
+@requires_proc
+@signals
+def test_sigint_mid_solve_exits_clean(signum, exit_code, message):
+    """SIGINT or SIGTERM during a multi-worker solve: clean exit, no shm residue."""
+    import os
+
+    def pool_started(pid):
+        """Whether the CLI's worker pool is up: its two forked workers, and
+        the three handler threads the pool starts after forking them."""
+        try:
+            workers = _workers_of(pid)
+            threads = os.listdir(f"/proc/{pid}/task")
+        except OSError:  # the CLI already exited
+            return False
+        return len(workers) >= 2 and len(threads) >= 4
+
+    # Interrupt the solve once its pool is up, however fast the machine.
+    _signal_solve(signum, exit_code, message, pool_started, poll_seconds=0.02)
+
+
+#: Start-up attempts per signal; each takes well under a second when the
+#: signal is delivered.
+STARTUP_ATTEMPTS = 5
+
+
+@requires_proc
+@signals
+def test_signal_while_pool_workers_fork_exits_clean(signum, exit_code, message):
+    """A signal sent the moment the first pool worker exists is not lost.
+
+    It lands while the pool forks its workers.  The pool defers it until it
+    is registered for teardown, instead of letting the interpreter's at-fork
+    hooks swallow it ("Exception ignored ...") while the solve runs on to
+    exit 0.  The window is a few milliseconds, so each signal gets several
+    attempts.
+    """
+
+    def first_worker_forked(pid):
+        try:
+            return bool(_workers_of(pid))
+        except OSError:  # the CLI already exited
+            return False
+
+    for _ in range(STARTUP_ATTEMPTS):
+        _signal_solve(
+            signum, exit_code, message, first_worker_forked, poll_seconds=0.0
+        )
