@@ -406,7 +406,7 @@ def test_zero_copy_broadcast_payload(report):
             with Timer() as unpickle_timer:
                 clone = pickle.loads(shared_payload)
             assert np.array_equal(clone.compiled.indptr, compiled.indptr)
-            start, count = shared._store_bounds[0]
+            start, count = shared.bounds[0]
             clone.draw_block(start, count)
             assert clone.store.attach_count >= 1  # re-used, not re-drawn
             attach_seconds = clone.store.attach_seconds

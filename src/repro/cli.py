@@ -478,7 +478,6 @@ def cmd_events(args: argparse.Namespace) -> str:
                 "touched_edges": outcome.touched_edges,
                 "dirty_worlds": outcome.dirty_worlds,
                 "num_worlds": outcome.num_worlds,
-                "chained_blocks": outcome.chained_blocks,
                 "benefit_before": old_benefit,
                 "benefit_after": new_benefit,
                 "snapshot_passes": estimator.delta_snapshot_passes,

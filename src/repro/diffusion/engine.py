@@ -16,8 +16,10 @@ Worlds are produced by a :class:`WorldSampler`, which freezes the RNG state at
 construction and can recreate *any* contiguous block of worlds from scratch by
 skipping the bit stream forward (``bit_generator.advance`` where it skips
 exactly one double per step, chunked draw-and-discard otherwise; see
-:func:`_skipper`).  With the default ``shard_size=None`` the
-engine keeps every world resident, exactly as before.  With a ``shard_size``
+:func:`_skipper`).  The engine's world grid
+(:attr:`CompiledCascadeEngine.bounds`) splits the worlds into blocks.  With
+the default ``shard_size=None`` it is one block, drawn at construction and
+kept resident.  With a ``shard_size``
 the engine materialises worlds in fixed-size blocks — build, evaluate, discard
 — holding at most a couple of blocks at a time, which bounds peak memory to
 O(shard_size × live edges) instead of O(num_worlds × live edges).  Because
@@ -58,7 +60,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, 
 import numpy as np
 
 from repro.diffusion import kernels as _kernels
-from repro.diffusion.reconcile import dirty_probe, dirty_rows, dirty_world_mask
+from repro.diffusion.reconcile import dirty_probe, dirty_rows
 from repro.exceptions import EstimationError
 from repro.graph.csr import CompiledGraph
 from repro.graph.social_graph import SocialGraph
@@ -307,35 +309,6 @@ class WorldSampler:
         clone.layers = self.layers
         return clone
 
-    def draws_at(self, positions: np.ndarray, num_worlds: int) -> np.ndarray:
-        """The coin-flip draws at given positions, for every world.
-
-        Returns a ``(num_worlds, len(positions))`` float64 array:
-        ``out[w, i]`` is world ``w``'s draw at flat position ``positions[i]``.
-        This is the dirty-world probe of a sharded engine's reconcile (a
-        resident engine reads the same draws while redrawing its block, see
-        :meth:`draw_block`).  Layers containing no queried position are
-        skipped entirely; within a queried layer each world generates the
-        prefix up to its last queried position and skips the remainder.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        out = np.empty((int(num_worlds), positions.shape[0]), dtype=np.float64)
-        low = 0
-        for state, width in self.layers:
-            high = low + width
-            selected = np.flatnonzero((positions >= low) & (positions < high))
-            if selected.size:
-                local = positions[selected] - low
-                need = int(local.max()) + 1
-                generator = self._layer_generator(state, width, 0)
-                skip = _skipper(generator)
-                for world in range(int(num_worlds)):
-                    draws = generator.random(need)
-                    out[world, selected] = draws[local]
-                    skip(width - need)
-            low = high
-        return out
-
     def draw_block(
         self, start: int, count: int, *, probe: Optional[np.ndarray] = None
     ) -> Union[FlatWorldBlock, Tuple[FlatWorldBlock, np.ndarray]]:
@@ -349,8 +322,9 @@ class WorldSampler:
 
         With ``probe`` (draw positions) the block is always drawn, published
         when a store is attached, and returned as ``(block, draws)``:
-        ``draws[w, i]`` is world ``start + w``'s draw at ``probe[i]``, what
-        :meth:`draws_at` gives, read in the same pass over the stream.
+        ``draws[w, i]`` is world ``start + w``'s draw at ``probe[i]``, read
+        in the same pass over the stream.  This is how an event batch finds
+        its dirty worlds (:meth:`CompiledCascadeEngine.apply_events`).
         """
         store = self.store
         if probe is not None:
@@ -485,8 +459,8 @@ def _skipper(generator: np.random.Generator):
 class BlockCache:
     """Bounded LRU of materialised world blocks, keyed by start index.
 
-    Shared by the engine's sharded mode and the multiprocess workers so the
-    two paths cannot drift; only the capacity differs.
+    Shared by the engine and the multiprocess workers so the two paths
+    cannot drift; only the capacity differs.
     """
 
     __slots__ = ("sampler", "max_blocks", "_blocks")
@@ -497,12 +471,29 @@ class BlockCache:
         self._blocks: "OrderedDict[int, FlatWorldBlock]" = OrderedDict()
 
     def block(self, start: int, count: int) -> FlatWorldBlock:
-        blocks = self._blocks
-        block = blocks.get(start)
+        block = self._blocks.get(start)
         if block is not None:
-            blocks.move_to_end(start)
+            self._blocks.move_to_end(start)
             return block
-        block = self.sampler.draw_block(start, count)
+        return self._keep(start, self.sampler.draw_block(start, count))
+
+    def redraw(self, start: int, count: int, probe: np.ndarray) -> np.ndarray:
+        """Draw a block into this (fresh) cache; returns its draws at ``probe``.
+
+        The block is published when the sampler has a store attached, as
+        every probed draw is (:meth:`WorldSampler.draw_block`).
+        """
+        block, draws = self.sampler.draw_block(start, count, probe=probe)
+        self._keep(start, block)
+        return draws
+
+    def release(self) -> None:
+        """Close every cached block's shared mapping (the arrays stay usable)."""
+        for block in self._blocks.values():
+            block.release()
+
+    def _keep(self, start: int, block: FlatWorldBlock) -> FlatWorldBlock:
+        blocks = self._blocks
         blocks[start] = block
         while len(blocks) > self.max_blocks:
             _, evicted = blocks.popitem(last=False)
@@ -573,8 +564,8 @@ class CompiledCascadeEngine:
     seed:
         RNG seed; the same seed reproduces the dict path's worlds exactly.
     shard_size:
-        ``None`` (default) keeps every world resident, exactly the historic
-        behaviour.  A positive integer makes the engine materialise worlds in
+        ``None`` (default) keeps every world resident: the grid is one
+        block.  A positive integer makes the engine materialise worlds in
         blocks of that size — build, evaluate, discard — bounding peak memory
         to O(shard_size) worlds while staying bit-identical to the monolithic
         path for any value.
@@ -688,6 +679,12 @@ class CompiledCascadeEngine:
         else:
             shard_size = self.num_worlds
         self.shard_size = shard_size
+        #: The world grid, one ``(start, count)`` per block; every block
+        #: loop, the store sweep and the pool's tasks walk it.
+        self.bounds: Tuple[Tuple[int, int], ...] = tuple(
+            (start, min(shard_size, self.num_worlds - start))
+            for start in range(0, self.num_worlds, shard_size)
+        )
 
         if sampler is not None:
             self.sampler = sampler.with_compiled(compiled)
@@ -704,26 +701,15 @@ class CompiledCascadeEngine:
         # of the *whole grid* — deterministic names make every segment
         # enumerable, so even blocks published by a since-killed worker are
         # swept on close / GC / interpreter exit.
-        self._store_bounds: Tuple[Tuple[int, int], ...] = ()
         self._store_finalizer = None
         if share:
-            from repro.diffusion.world_store import SharedBlockStore, sampler_fingerprint
+            self._open_store()
 
-            store = SharedBlockStore(sampler_fingerprint(self.sampler))
-            self.sampler.store = store
-            self._store_bounds = tuple(
-                (start, min(self.shard_size, self.num_worlds - start))
-                for start in range(0, self.num_worlds, self.shard_size)
-            )
-            self._store_finalizer = weakref.finalize(
-                self, store.sweep, self._store_bounds
-            )
-
-        # Resident world block (monolithic mode) or a small LRU of shards.
-        self._resident_block: Optional[FlatWorldBlock] = None
+        # A small LRU of blocks.  A one-block grid draws its block now, and
+        # the LRU never evicts it.
         self._block_cache = BlockCache(self.sampler, _MAX_CACHED_BLOCKS)
-        if self.shard_size >= self.num_worlds:
-            self._resident_block = self.sampler.draw_block(0, self.num_worlds)
+        if not self.is_sharded:
+            self._block(0)
 
         self._executor = None
 
@@ -747,6 +733,14 @@ class CompiledCascadeEngine:
             # pays its one-off cost; record what the warm-up cost.
             self.kernel_compile_seconds = self._kernel.warm()
         self._reset_scratch()
+
+    def _open_store(self) -> None:
+        """Attach a block store keyed to the sampler; arm the grid's sweep."""
+        from repro.diffusion.world_store import SharedBlockStore, sampler_fingerprint
+
+        store = SharedBlockStore(sampler_fingerprint(self.sampler))
+        self.sampler.store = store
+        self._store_finalizer = weakref.finalize(self, store.sweep, self.bounds)
 
     def _reset_scratch(self) -> None:
         """(Re)allocate the cascade scratch and output buffers for the graph."""
@@ -778,8 +772,8 @@ class CompiledCascadeEngine:
 
     @property
     def is_sharded(self) -> bool:
-        """Whether worlds are materialised in blocks rather than resident."""
-        return self._resident_block is None
+        """Whether the grid has several blocks rather than one resident one."""
+        return len(self.bounds) > 1
 
     @property
     def kernel_active(self) -> bool:
@@ -796,38 +790,24 @@ class CompiledCascadeEngine:
 
         The returned lists are self-contained (offsets index the returned
         targets), so worlds compare equal across shard sizes and block
-        layouts.  Resident worlds are sliced out of the resident block; in
-        sharded mode the world's block is drawn on demand and kept in a
-        small LRU, so sequential access (the snapshot pass, ascending
-        dirty-world lists) regenerates each block exactly once.
+        layouts.  The world's block is drawn on demand and kept in a small
+        LRU, so sequential access (the snapshot pass, ascending dirty-world
+        lists) regenerates each block exactly once.
         """
-        block, slot = self._world_slot(world_index)
-        return block.world_local(slot)
-
-    def _world_slot(self, world_index: int) -> Tuple[FlatWorldBlock, int]:
-        """The flat block holding ``world_index`` and the world's slot in it."""
-        if self._resident_block is not None:
-            return self._resident_block, world_index
-        start = (world_index // self.shard_size) * self.shard_size
-        return self._block(start), world_index - start
+        start = world_index - world_index % self.shard_size
+        return self._block(start).world_local(world_index - start)
 
     def world_blocks(self) -> Iterator[Tuple[int, int, FlatWorldBlock]]:
-        """Yield ``(start, count, block)`` per shard, as flat array blocks.
+        """Yield ``(start, count, block)`` per block of the grid, in order.
 
-        In monolithic mode this is a single block covering every world; in
-        sharded mode each block is materialised as it is yielded and only a
-        bounded number stay resident.
+        Each block is materialised as it is yielded and only a bounded
+        number stay cached; a one-block grid yields its resident block.
         """
-        for start in range(0, self.num_worlds, self.shard_size):
-            count = min(self.shard_size, self.num_worlds - start)
-            if self._resident_block is not None:
-                yield start, count, self._resident_block
-            else:
-                yield start, count, self._block(start)
+        for start, count in self.bounds:
+            yield start, count, self._block_cache.block(start, count)
 
     def _block(self, start: int) -> FlatWorldBlock:
-        count = min(self.shard_size, self.num_worlds - start)
-        return self._block_cache.block(start, count)
+        return self._block_cache.block(*self.bounds[start // self.shard_size])
 
     # ------------------------------------------------------------------
     # low-level cascade
@@ -880,33 +860,35 @@ class CompiledCascadeEngine:
         repeats allowed), exactly as per-world
         :meth:`cascade_world_instrumented` calls would.  This is the entry
         point the delta engine's snapshot, splice and reconcile passes run
-        on.  On the kernel path the indices are split into order-preserving
-        runs that share a block, and each run is one kernel call writing
-        every world's output back to back into the engine's buffers; a call
-        that stops early (the buffers were too small) is drained, the
-        buffers double, and the rest of the run goes in the next call.
+        on.  The indices are split into order-preserving runs that share a
+        block.  On the kernel path each run is one kernel call writing every
+        world's output back to back into the engine's buffers; a call that
+        stops early (the buffers were too small) is drained, the buffers
+        double, and the rest of the run goes in the next call.
         """
-        if self._kernel is None:
-            for world_index in world_indices:
-                yield self._interpreted_world_instrumented(
-                    world_index, seed_indices, coupons
-                )
-            return
         worlds = np.fromiter(world_indices, dtype=np.int64)
         if not worlds.size:
             return
-        if worlds.min() < 0 or worlds.max() >= self.num_worlds:
+        low, high = int(worlds.min()), int(worlds.max())
+        if low < 0 or high >= self.num_worlds:
             raise IndexError(
                 f"world indices must lie in [0, {self.num_worlds}), got "
-                f"{worlds.min()}..{worlds.max()}"
+                f"{low}..{high}"
             )
+        if self._kernel is None:
+            for block, slots in self._block_runs(worlds, low, high):
+                for slot in slots.tolist():
+                    yield self._interpreted_world_instrumented(
+                        block, slot, seed_indices, coupons
+                    )
+            return
         seeds_arr = np.asarray(seed_indices, dtype=np.int32)
         coupons_arr = np.asarray(coupons, dtype=np.int64)
         kernel = self._kernel
         stamp = self._kernel_stamp
         # Reserve the whole stamp range up front, as the run path does.
         self._kernel_stamp = stamp + worlds.size
-        for block, slots in self._block_runs(worlds):
+        for block, slots in self._block_runs(worlds, low, high):
             if self._kernel_ends.shape[0] < slots.size:
                 self._kernel_ends = np.empty((slots.size, 2), dtype=np.int64)
             while True:
@@ -937,11 +919,16 @@ class CompiledCascadeEngine:
                 self._kernel_limited = np.empty(capacity, dtype=np.int32)
 
     def _block_runs(
-        self, worlds: np.ndarray
+        self, worlds: np.ndarray, low: int, high: int
     ) -> Iterator[Tuple[FlatWorldBlock, np.ndarray]]:
-        """Split world indices into order-preserving ``(block, slots)`` runs."""
-        if self._resident_block is not None:
-            yield self._resident_block, worlds
+        """Split world indices into order-preserving ``(block, slots)`` runs.
+
+        Indices bounded by ``low`` and ``high`` in one block (always, on a
+        one-block grid) are one run, found without a pass over them.
+        """
+        start = low - low % self.shard_size
+        if high < start + self.shard_size:
+            yield self._block(start), worlds - start if start else worlds
             return
         starts = worlds - worlds % self.shard_size
         cuts = (np.flatnonzero(starts[1:] != starts[:-1]) + 1).tolist()
@@ -951,13 +938,16 @@ class CompiledCascadeEngine:
             yield self._block(start), worlds[begin:end] - start
 
     def _interpreted_world_instrumented(
-        self, world_index: int, seed_indices: List[int], coupons: Sequence[int]
+        self,
+        block: FlatWorldBlock,
+        slot: int,
+        seed_indices: List[int],
+        coupons: Sequence[int],
     ) -> Tuple[List[int], List[int]]:
         """One world's instrumented cascade on the interpreted oracle loop."""
         self._stamp += 1
         stamp = self._stamp
         visited = self._visited
-        block, slot = self._world_slot(world_index)
         targets, offsets_rows = block.lists()
         offsets = offsets_rows[slot]
 
@@ -1130,15 +1120,14 @@ class CompiledCascadeEngine:
 
             self._executor = ShardExecutor(
                 self.sampler,
-                num_worlds=self.num_worlds,
-                shard_size=self.shard_size,
+                bounds=self.bounds,
                 workers=self.workers,
                 pool=self.pool,
                 use_kernel=self._kernel is not None,
             )
         return self._executor
 
-    def apply_events(self, application) -> Tuple[np.ndarray, int]:
+    def apply_events(self, application) -> np.ndarray:
         """Evolve the engine in place onto an event batch's new graph.
 
         ``application`` is the :class:`~repro.graph.events.EventApplication`
@@ -1150,25 +1139,15 @@ class CompiledCascadeEngine:
         the block cache, the worker executor (workers hold old-graph
         samplers; it is lazily rebuilt), and the cascade scratch buffers.
 
-        Returns ``(dirty_mask, chained)``.  ``dirty_mask`` flags, per world,
-        whether the batch's changed edges touch its live set (the rule of
-        :mod:`repro.diffusion.reconcile`).  This is the one place the evolved
-        stream is read: an engine holding a resident block redraws it and
-        takes the changed positions' draws from that same pass (publishing
-        the block when a store is attached); a sharded engine probes them
-        with :func:`~repro.diffusion.reconcile.dirty_world_mask`.  When the
-        batch kept every surviving edge's hand-off rank and the node set (no
-        reweights, no retires, no node adds), a sharded engine's published
-        shared-memory blocks of all-clean shards are **chained**:
-        re-published byte-identical under the new fingerprint before the old
-        grid is swept, so clean worlds advance to the new graph version
-        without being re-drawn by anyone.  ``chained`` counts them.
+        Returns the dirty mask: per world, whether the batch's changed edges
+        touch its live set (the rule of :mod:`repro.diffusion.reconcile`).
+        This is the one place the evolved stream is read: every block of the
+        grid is redrawn once into the new block cache, published when a
+        store is attached (so pool workers attach instead of drawing), and
+        the changed positions' draws come out of that same pass.
         """
         compiled = application.compiled
         old_compiled = self.compiled
-        old_store = self.sampler.store
-        old_finalizer = self._store_finalizer
-        resident = self._resident_block is not None
 
         if self.shared_memory:
             from repro.graph.shared import share_compiled
@@ -1183,11 +1162,6 @@ class CompiledCascadeEngine:
         sampler = self.sampler.rekey(compiled, application.num_new_draws)
         self.compiled = compiled
         self.sampler = sampler
-        dirty_mask = (
-            None
-            if resident
-            else dirty_world_mask(sampler, application, self.num_worlds)
-        )
 
         # Workers hold samplers keyed to the old graph; the executor is
         # rebuilt (and the new sampler re-registered) on the next parallel
@@ -1196,57 +1170,13 @@ class CompiledCascadeEngine:
             self._executor.close()
             self._executor = None
 
-        if resident:
-            self._resident_block.release()
-            self._resident_block = None
-        for block in self._block_cache._blocks.values():
-            block.release()
-
-        chained = 0
-        self._store_bounds = ()
-        self._store_finalizer = None
+        self._block_cache.release()
+        if self._store_finalizer is not None:
+            # Sweep the old fingerprint's whole grid now.
+            self._store_finalizer()
+            self._store_finalizer = None
         if self.shared_memory:
-            from repro.diffusion.world_store import (
-                SharedBlockStore,
-                sampler_fingerprint,
-            )
-
-            store = SharedBlockStore(sampler_fingerprint(sampler))
-            sampler.store = store
-            self._store_bounds = tuple(
-                (start, min(self.shard_size, self.num_worlds - start))
-                for start in range(0, self.num_worlds, self.shard_size)
-            )
-            if (
-                not resident
-                and old_store is not None
-                and application.rank_stable
-                and application.identity_remap
-                and compiled.num_nodes == application.old_num_nodes
-            ):
-                # Clean worlds of a rank-stable batch have bit-identical
-                # live adjacency (their added edges are dead, their dropped
-                # edges were dead), so an all-clean block's bytes are valid
-                # under the new fingerprint verbatim.
-                num_nodes = compiled.num_nodes
-                for start, count in self._store_bounds:
-                    if bool(dirty_mask[start : start + count].any()):
-                        continue
-                    block = old_store.load(start, count, num_nodes)
-                    if block is None:
-                        continue
-                    published = store.publish(start, count, block)
-                    if published is not block:
-                        published.release()
-                        chained += 1
-                    block.release()
-            self._store_finalizer = weakref.finalize(
-                self, store.sweep, self._store_bounds
-            )
-        if old_finalizer is not None:
-            # Sweep the old fingerprint's whole grid now; chained blocks
-            # already live under the new names.
-            old_finalizer()
+            self._open_store()
 
         # The old shared graph segment: close our fd now; the owner
         # finalizer unlinks the name once the last reference dies.
@@ -1254,16 +1184,16 @@ class CompiledCascadeEngine:
         if segment is not None and getattr(old_compiled, "owns_segment", False):
             _shm.close_segment(segment)
 
-        self._block_cache = BlockCache(sampler, _MAX_CACHED_BLOCKS)
-        if resident:
-            positions, thresholds = dirty_probe(application)
-            self._resident_block, draws = sampler.draw_block(
-                0, self.num_worlds, probe=positions
-            )
-            dirty_mask = dirty_rows(draws, thresholds)
-
+        # Last block first, so the LRU ends up holding the first blocks: the
+        # ones the dirty worlds' ascending re-simulation reads first.
+        cache = self._block_cache = BlockCache(sampler, _MAX_CACHED_BLOCKS)
+        positions, thresholds = dirty_probe(application)
+        draws = [
+            cache.redraw(start, count, positions)
+            for start, count in reversed(self.bounds)
+        ]
         self._reset_scratch()
-        return dirty_mask, chained
+        return dirty_rows(np.concatenate(draws[::-1]), thresholds)
 
     def close(self) -> None:
         """Release the executor and sweep shared world-block segments.
@@ -1281,20 +1211,15 @@ class CompiledCascadeEngine:
             # the pages alive, so the engine stays fully usable — only the
             # (bounded-resource) fds go; the owner finalizers still unlink
             # the names at GC.
-            if self._resident_block is not None:
-                self._resident_block.release()
-            for block in self._block_cache._blocks.values():
-                block.release()
+            self._block_cache.release()
             segment = getattr(self.compiled, "segment", None)
             if segment is not None and getattr(self.compiled, "owns_segment", False):
                 _shm.close_segment(segment)
         if self._store_finalizer is not None:
             self._store_finalizer()
-            store = self.sampler.store
-            if store is not None:
-                self._store_finalizer = weakref.finalize(
-                    self, store.sweep, self._store_bounds
-                )
+            self._store_finalizer = weakref.finalize(
+                self, self.sampler.store.sweep, self.bounds
+            )
 
     def __enter__(self) -> "CompiledCascadeEngine":
         return self

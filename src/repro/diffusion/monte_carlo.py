@@ -478,8 +478,8 @@ class MonteCarloEstimator(BenefitEstimator):
 
         ``application`` is the :class:`~repro.graph.events.EventApplication`
         of a batch applied to this estimator's graph.  The compiled engine is
-        evolved in place (delta CSR, rekeyed layered sampler, chained shared
-        blocks for clean shards), the memo caches are dropped (they are keyed
+        evolved in place (delta CSR, rekeyed layered sampler, redrawn world
+        blocks), the memo caches are dropped (they are keyed
         by deployment, not graph version), and a live delta snapshot is
         advanced by re-simulating **only** the worlds whose live-edge draws
         touch a changed edge — bit-identical to a cold instrumented pass on
@@ -487,7 +487,7 @@ class MonteCarloEstimator(BenefitEstimator):
         are re-memoised, so a subsequent :meth:`snapshot_base` on the same
         deployment stays a no-op.
         """
-        mask, chained = self._engine.apply_events(application)
+        mask = self._engine.apply_events(application)
         self.clear_cache()
 
         delta = self._delta
@@ -506,7 +506,6 @@ class MonteCarloEstimator(BenefitEstimator):
             dirty_worlds=int(mask.sum()),
             touched_edges=application.touched_edges,
             reconciled=reconciled,
-            chained_blocks=chained,
             base_benefit=base_benefit,
         )
 

@@ -59,9 +59,10 @@ import multiprocessing
 import pickle
 import signal
 import sys
+import threading
 import time
 import weakref
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,6 +80,10 @@ _DEFERRED_SIGNALS = (signal.SIGINT, signal.SIGTERM)
 #: Seconds a worker waits at the registration barrier before giving up; only
 #: reached when a sibling worker died mid-broadcast.
 _BARRIER_TIMEOUT = 120.0
+
+#: Seconds :func:`_shutdown_pool` gives ``Pool.terminate`` before it kills
+#: the workers itself.
+_TERMINATE_TIMEOUT = 2.0
 
 #: One evaluation task: (sampler token, block index, start, count, seeds,
 #: sparse coupon items, use-kernel flag).
@@ -250,9 +255,28 @@ def _evaluate_block(task: Task) -> Tuple[int, np.ndarray]:
     return evaluate_block_in_state(_WORKER_STATES[task[0]], task)
 
 
-def _shutdown_pool(pool) -> None:
+def _terminate_when_set(pool, stop: threading.Event) -> None:
+    stop.wait()
     pool.terminate()
-    pool.join()
+
+
+def _shutdown_pool(pool, stop: threading.Event, stopper: threading.Thread) -> None:
+    """Stop a pool's workers with no unbounded wait on its queue locks.
+
+    ``Pool.terminate`` takes the task queue's read lock and the result
+    queue's write lock, and a worker killed while holding one (a signal
+    sent to the whole process group) never releases it.  So ``terminate``
+    runs on the pool's daemon ``stopper`` thread, waited on for at most
+    :data:`_TERMINATE_TIMEOUT` seconds; workers still alive then
+    (``pool._pool`` lists them) are SIGKILLed, and a blocked thread is left
+    behind.
+    """
+    stop.set()
+    stopper.join(_TERMINATE_TIMEOUT)
+    for process in list(pool._pool):
+        if process.exitcode is None:
+            process.kill()
+            process.join(_TERMINATE_TIMEOUT)
 
 
 class SharedShardPool:
@@ -309,7 +333,16 @@ class SharedShardPool:
             self._pool = context.Pool(
                 self.workers, initializer=_init_worker, initargs=(self._barrier,)
             )
-            self._finalizer = weakref.finalize(self, _shutdown_pool, self._pool)
+            # The stopper starts now: Python 3.12 starts no thread in an
+            # exit handler, where a forgotten pool's finalizer runs.
+            stop = threading.Event()
+            stopper = threading.Thread(
+                target=_terminate_when_set, args=(self._pool, stop), daemon=True
+            )
+            stopper.start()
+            self._finalizer = weakref.finalize(
+                self, _shutdown_pool, self._pool, stop, stopper
+            )
             _LIVE_POOLS.add(self)
         finally:
             if defer:
@@ -474,8 +507,7 @@ class ShardExecutor:
         self,
         sampler: WorldSampler,
         *,
-        num_worlds: int,
-        shard_size: int,
+        bounds: Sequence[Tuple[int, int]],
         workers: Optional[int] = None,
         pool: Optional[SharedShardPool] = None,
         use_kernel: bool = False,
@@ -485,14 +517,12 @@ class ShardExecutor:
         #: share one pool; a worker without a resolvable backend falls back
         #: to the interpreted loop with identical counts.
         self.use_kernel = bool(use_kernel)
-        self._blocks: List[Tuple[int, int]] = [
-            (start, min(shard_size, num_worlds - start))
-            for start in range(0, num_worlds, shard_size)
-        ]
+        #: The engine's world grid: one task per ``(start, count)`` block.
+        self.bounds = bounds
         if pool is None:
             if workers is None:
                 raise EstimationError("either workers or pool is required")
-            pool = SharedShardPool(min(int(workers), len(self._blocks)))
+            pool = SharedShardPool(min(int(workers), len(bounds)))
             self._owns_pool = True
         else:
             self._owns_pool = False
@@ -531,7 +561,7 @@ class ShardExecutor:
                 self._token, block_index, start, count,
                 seed_indices, coupon_items, self.use_kernel,
             )
-            for block_index, (start, count) in enumerate(self._blocks)
+            for block_index, (start, count) in enumerate(self.bounds)
         ]
         iterator = self.pool.imap_unordered(tasks)
         return PendingCounts(iterator, len(tasks), self.num_nodes, owner=self)

@@ -5,8 +5,10 @@ live :class:`~repro.diffusion.delta.DeltaCascadeEngine` snapshot, almost all
 of the snapshot is still exactly right: a world whose live-edge draws never
 touch a changed edge runs the *identical* cascade on the new graph.  This
 module states the rule that finds those worlds (:func:`dirty_probe`,
-:func:`dirty_rows`, :func:`dirty_world_mask`);
-:meth:`DeltaCascadeEngine.reconcile
+:func:`dirty_rows`), which
+:meth:`CompiledCascadeEngine.apply_events
+<repro.diffusion.engine.CompiledCascadeEngine.apply_events>` applies to the
+draws of its block redraw; :meth:`DeltaCascadeEngine.reconcile
 <repro.diffusion.delta.DeltaCascadeEngine.reconcile>`, the snapshot's only
 writer, re-simulates the rest.
 
@@ -48,7 +50,7 @@ import numpy as np
 
 from repro.graph.events import EventApplication
 
-__all__ = ["ReconcileOutcome", "dirty_probe", "dirty_rows", "dirty_world_mask"]
+__all__ = ["ReconcileOutcome", "dirty_probe", "dirty_rows"]
 
 
 class ReconcileOutcome:
@@ -65,9 +67,6 @@ class ReconcileOutcome:
         ``True`` when a live snapshot was advanced in place; ``False`` when
         there was no snapshot to reconcile (nothing solved yet) or the
         deployment did not survive the remap and a fresh snapshot pass ran.
-    chained_blocks:
-        Shared-memory world blocks republished verbatim under the new graph
-        fingerprint (clean shards of a rank-stable batch).
     base_benefit:
         The base deployment's expected benefit on the evolved graph, when a
         snapshot exists (``None`` otherwise).
@@ -78,7 +77,6 @@ class ReconcileOutcome:
         "dirty_worlds",
         "touched_edges",
         "reconciled",
-        "chained_blocks",
         "base_benefit",
     )
 
@@ -89,21 +87,19 @@ class ReconcileOutcome:
         dirty_worlds: int,
         touched_edges: int,
         reconciled: bool,
-        chained_blocks: int,
         base_benefit: Optional[float],
     ) -> None:
         self.num_worlds = int(num_worlds)
         self.dirty_worlds = int(dirty_worlds)
         self.touched_edges = int(touched_edges)
         self.reconciled = bool(reconciled)
-        self.chained_blocks = int(chained_blocks)
         self.base_benefit = base_benefit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"ReconcileOutcome(dirty={self.dirty_worlds}/{self.num_worlds}, "
             f"touched_edges={self.touched_edges}, "
-            f"reconciled={self.reconciled}, chained={self.chained_blocks})"
+            f"reconciled={self.reconciled})"
         )
 
 
@@ -135,22 +131,3 @@ def dirty_rows(draws: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Per-world booleans from each world's draws at the probed positions."""
     return (draws < thresholds).any(axis=1)
 
-
-def dirty_world_mask(
-    sampler, application: EventApplication, num_worlds: int
-) -> np.ndarray:
-    """Per-world booleans: does any changed edge touch the world's live set?
-
-    ``sampler`` must be the **evolved** (rekeyed) sampler — added edges live
-    at positions past the old stream width, which only its new layer covers.
-    Probes exactly the changed positions via
-    :meth:`~repro.diffusion.engine.WorldSampler.draws_at`.  That is no
-    cheap probe: each world still generates its layer's prefix up to the
-    last probed position, most of the layer for a batch of a few dozen
-    events (about 8.5 ms per 20-event batch at 200 worlds of a 400-node
-    graph on a 2-core x86 VM).  Only a sharded engine uses it; a resident
-    engine reads the same draws while it redraws its block
-    (:meth:`~repro.diffusion.engine.CompiledCascadeEngine.apply_events`).
-    """
-    positions, thresholds = dirty_probe(application)
-    return dirty_rows(sampler.draws_at(positions, num_worlds), thresholds)

@@ -303,19 +303,6 @@ class EventApplication:
         """How many edges the batch changed (added + dropped + reweighted)."""
         return len(self.added) + len(self.dropped) + len(self.reweighted)
 
-    @property
-    def rank_stable(self) -> bool:
-        """Whether surviving edges keep their hand-off rank in every row.
-
-        True when the batch reweighted nothing: surviving edges then keep
-        their ``(-probability, str(target))`` sort keys, so within any row
-        the surviving subsequence of the new ranked order equals the old
-        one.  Clean worlds (where no changed edge is live) then have
-        bit-identical live adjacency — the precondition for reusing their
-        shared-memory world blocks across versions.
-        """
-        return not self.reweighted
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"EventApplication(nodes={self.old_num_nodes}->"

@@ -406,7 +406,6 @@ class CampaignService:
                     "dirty_worlds": outcome.dirty_worlds,
                     "touched_edges": outcome.touched_edges,
                     "reconciled": outcome.reconciled,
-                    "chained_blocks": outcome.chained_blocks,
                     "base_benefit": outcome.base_benefit,
                     "reconcile_passes": estimator.delta_reconcile_passes,
                     "reconciled_worlds": estimator.delta_reconciled_worlds,

@@ -50,6 +50,11 @@ except ImportError:  # pragma: no cover - exotic platforms only
     _resource_tracker = None
     _SharedMemory = None
 
+try:  # POSIX: the named-segment primitives behind ``SharedMemory``
+    import _posixshmem
+except ImportError:  # pragma: no cover - Windows names die with their handles
+    _posixshmem = None
+
 #: Prefix of every segment this package creates; the leak probes and the CI
 #: assertion key on it.
 SEGMENT_PREFIX = "repro-"
@@ -210,19 +215,16 @@ def unlink_segment(name: str) -> bool:
 
     Safe to call for segments created by *other* processes (the worker-crash
     sweep does exactly that); attached processes keep their mappings alive,
-    only the name disappears.
+    only the name disappears.  The name is unlinked without mapping it, so
+    a segment its creator has not sized yet goes too.
     """
     _OWNED.pop(name, None)
-    try:
-        segment = attach_segment(name)
-    except FileNotFoundError:
-        return False
-    except OSError:  # pragma: no cover - permissions, platform quirks
+    if _posixshmem is None:  # pragma: no cover - no names to unlink
         return False
     try:
-        segment.unlink()
-    finally:
-        close_segment(segment)
+        _posixshmem.shm_unlink("/" + name)
+    except OSError:  # FileNotFoundError; permissions, platform quirks
+        return False
     return True
 
 

@@ -17,9 +17,11 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
+from repro.diffusion import parallel
 from repro.diffusion.monte_carlo import MonteCarloEstimator
 from repro.diffusion.parallel import (
     SharedShardPool,
@@ -107,9 +109,77 @@ def test_live_counters_track_open_pools_and_executors(two_hop_path):
     assert live_pool_count() == pools_before
 
 
+def _pid_alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_close_never_waits_on_a_lock_a_dead_worker_held():
+    """Teardown returns, with every worker dead, while a queue lock stays taken.
+
+    A worker killed inside a ``put`` on the result queue never releases the
+    queue's write lock, on which ``Pool.terminate`` would block for ever.
+    Holding that lock here stands in for such a worker.
+    """
+    pool = SharedShardPool(2)
+    workers = list(pool._pool._pool)
+    lock = pool._pool._outqueue._wlock
+    lock.acquire()
+    try:
+        began = time.perf_counter()
+        pool.close()
+        assert time.perf_counter() - began < parallel._TERMINATE_TIMEOUT + 10
+        assert pool.closed
+        assert not any(process.is_alive() for process in workers)
+        assert not any(process.is_alive() for process in pool._pool._pool)
+    finally:
+        lock.release()
+
+
+def _run_script(tmp_path, name, script, timeout=120):
+    path = tmp_path / name
+    path.write_text(textwrap.dedent(script), encoding="utf-8")
+    # The child needs `repro` importable without a pip install: pyproject's
+    # `pythonpath = ["src"]` only applies inside pytest, so prepend the
+    # package source explicitly.
+    src_dir = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, str(path)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+def test_process_exits_while_a_queue_lock_stays_taken(tmp_path):
+    """The exit-time finalizer cannot hang on a lock a dead worker held."""
+    completed = _run_script(
+        tmp_path,
+        "held_lock.py",
+        """
+        from repro.diffusion.parallel import SharedShardPool
+
+        pool = SharedShardPool(2)
+        pool._pool._outqueue._wlock.acquire()
+        print(" ".join(str(process.pid) for process in pool._pool._pool))
+        # no close(): the finalizer at exit must still return.
+        """,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    pids = [int(pid) for pid in completed.stdout.split()]
+    assert len(pids) == 2
+    assert not any(_pid_alive(pid) for pid in pids)
+
+
 def test_forgotten_pool_is_reclaimed_at_interpreter_exit(tmp_path):
     """Regression: a never-closed pool must not hang the process at exit."""
-    script = textwrap.dedent(
+    completed = _run_script(
+        tmp_path,
+        "leak_pool.py",
         """
         from repro.diffusion.monte_carlo import MonteCarloEstimator
         from repro.diffusion.parallel import SharedShardPool
@@ -127,19 +197,7 @@ def test_forgotten_pool_is_reclaimed_at_interpreter_exit(tmp_path):
         print(estimator.expected_benefit(["a"], {"a": 1}))
         # neither estimator.close() nor pool.close(): the finalizer must
         # reclaim the workers at exit.
-        """
-    )
-    path = tmp_path / "leak_pool.py"
-    path.write_text(script, encoding="utf-8")
-    # The child needs `repro` importable without a pip install: pyproject's
-    # `pythonpath = ["src"]` only applies inside pytest, so prepend the
-    # package source explicitly.
-    src_dir = str(pathlib.Path(__file__).resolve().parents[2] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
-    completed = subprocess.run(
-        [sys.executable, str(path)],
-        capture_output=True, text=True, timeout=120, env=env,
+        """,
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip()  # the estimate was printed

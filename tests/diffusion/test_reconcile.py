@@ -410,16 +410,19 @@ def test_chained_reconciles_stay_identical():
         estimator.close()
 
 
-def test_clean_shards_chain_shared_blocks_across_versions():
-    """A rank-stable edge batch republishes clean worlds' blocks verbatim.
+def test_sharded_shared_memory_batch_publishes_every_block():
+    """A sharded engine with a block store publishes the batch's whole grid.
 
-    Block chaining needs: a shared-memory store, no reweights (rank-stable
-    rows), no node churn (same offsets geometry), and at least one shard
-    with no dirty world.  The dropped edge here has the lowest probability
-    in the graph, so most worlds never drew it live.
+    The batch redraws every block once to read the dirty worlds, and each
+    block of the new graph version is published on the way, so pool
+    workers attach to it instead of drawing it: blocks with no dirty world
+    too, which nothing else would draw.  The batch changes the two edges of
+    lowest probability, so most worlds never drew either live.
     """
     graph = build_graph()
-    source, target, _ = min(graph.edges(), key=lambda e: e[2])
+    (source, target, _), (u, v, probability) = sorted(
+        graph.edges(), key=lambda e: e[2]
+    )[:2]
     estimator = MonteCarloEstimator(
         graph,
         num_samples=NUM_WORLDS,
@@ -432,10 +435,19 @@ def test_clean_shards_chain_shared_blocks_across_versions():
     try:
         estimator.snapshot_base(SEEDS, ALLOC)
         outcome = estimator.ingest_events(
-            GraphEventBatch([EdgeDrop(source, target)])
+            GraphEventBatch(
+                [EdgeDrop(source, target), EdgeReweight(u, v, probability / 2)]
+            )
         )
-        assert outcome.chained_blocks > 0
         assert outcome.dirty_worlds < NUM_WORLDS
+        engine = estimator._engine
+        store = engine.sampler.store
+        assert engine.is_sharded
+        assert store.publish_count == len(engine.bounds)
+        for start, count in engine.bounds:
+            block = store.load(start, count, engine.compiled.num_nodes)
+            assert block is not None
+            block.release()
 
         cold_engine, cold = _cold_delta(estimator, SEEDS, ALLOC)
         try:
@@ -460,13 +472,13 @@ def test_resident_shared_memory_engine_publishes_its_redraw():
             assert not estimator._engine.is_sharded
             estimator.snapshot_base(SEEDS, ALLOC)
             outcomes[shared_memory] = [
-                (outcome.dirty_worlds, outcome.base_benefit, outcome.chained_blocks)
+                (outcome.dirty_worlds, outcome.base_benefit)
                 for outcome in (
                     estimator.ingest_events(small_batch(graph)),
                     estimator.ingest_events(CHURN_BATCH),
                 )
             ]
-            block = estimator._engine._resident_block
+            [(_, _, block)] = estimator._engine.world_blocks()
             assert (block.segment is not None) is shared_memory
         finally:
             estimator.close()

@@ -50,38 +50,49 @@ def _repro_segments():
 
 
 @pytest.fixture(autouse=True)
-def no_segment_leaks():
-    """Every test in this module must end /dev/shm where it started."""
+def segments_before():
+    """Every test in this module must end /dev/shm where it started.
+
+    Tests judge only their own segments against this snapshot: other
+    processes' segments may come and go meanwhile.
+    """
     before = _repro_segments()
-    yield
+    yield before
     gc.collect()
     assert _repro_segments() == before
 
 
-def test_closed_and_collected_estimator_leaves_no_segments(two_hop_path):
+def test_closed_and_collected_estimator_leaves_no_segments(
+    two_hop_path, segments_before
+):
     estimator = MonteCarloEstimator(
         two_hop_path, num_samples=NUM_SAMPLES, seed=7, shared_memory=True
     )
     assert estimator.shared_memory_active
     estimator.expected_benefit(["a"], {"a": 1})
-    assert _repro_segments()  # graph segment + published blocks exist
+    # graph segment + published blocks exist
+    assert set(_repro_segments()) - set(segments_before)
     estimator.close()
     del estimator
     gc.collect()
-    assert not _repro_segments()
+    assert _repro_segments() == segments_before
 
 
-def test_unclosed_estimator_is_cleaned_by_garbage_collection(two_hop_path):
+def test_unclosed_estimator_is_cleaned_by_garbage_collection(
+    two_hop_path, segments_before
+):
     estimator = MonteCarloEstimator(
         two_hop_path, num_samples=NUM_SAMPLES, seed=7, shared_memory=True
     )
     estimator.expected_benefit(["a"], {"b": 1})
     del estimator  # no close(): the finalizers must do the whole job
     gc.collect()
-    assert not _repro_segments()
+    assert _repro_segments() == segments_before
 
 
-def test_pool_run_leaves_no_segments_and_matches_serial(two_hop_path):
+def test_pool_run_leaves_no_segments_and_matches_serial(
+    two_hop_path, segments_before
+):
     serial = MonteCarloEstimator(two_hop_path, num_samples=NUM_SAMPLES, seed=3)
     expected = serial.expected_benefit(["a"], {"a": 1, "b": 1})
     with SharedShardPool(2) as pool:
@@ -93,7 +104,7 @@ def test_pool_run_leaves_no_segments_and_matches_serial(two_hop_path):
         estimator.close()
         del estimator
     gc.collect()
-    assert not _repro_segments()
+    assert _repro_segments() == segments_before
 
 
 def test_second_engine_attaches_instead_of_publishing(two_hop_path):
@@ -123,7 +134,7 @@ def test_sigkilled_publisher_cannot_leak_the_parent_sweeps_the_grid(two_hop_path
         shared_memory=True,
     )
     store = engine.sampler.store
-    start, count = engine._store_bounds[0]
+    start, count = engine.bounds[0]
     orphan = store.data_name(start, count)
     # A child process creates the segment under the store's deterministic
     # name, then dies by SIGKILL — no atexit sweep, no finalizers, exactly
@@ -214,3 +225,21 @@ def test_compiled_graph_unpickles_with_lazy_index(two_hop_path):
     assert clone._index is None
     assert clone.index_of("b") == compiled.index_of("b")
     assert clone._index is not None
+
+
+def test_sweep_unlinks_a_block_segment_not_yet_sized(two_hop_path):
+    """A block name its publisher created but has not sized yet is swept too.
+
+    ``shm_open`` creates the name empty and the publisher sizes it after; a
+    sweep in that window must unlink it by name, not try to map it.
+    """
+    engine = CompiledCascadeEngine(
+        two_hop_path.compiled(), NUM_SAMPLES, seed=9, shard_size=6,
+        shared_memory=True,
+    )
+    start, count = engine.bounds[-1]
+    name = engine.sampler.store.data_name(start, count)
+    open(os.path.join("/dev/shm", name), "xb").close()
+    engine.close()
+    assert name not in _repro_segments()
+    del engine

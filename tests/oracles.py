@@ -23,10 +23,16 @@ per not-yet-visited in-neighbour in ``in_neighbors`` order.
 numpy loop) must sample the same sets and leave the generator in the same
 state; :func:`dict_rr_estimator` builds an
 :class:`~repro.diffusion.rr_sets.RRBenefitEstimator` on the oracle's sets.
+
+:func:`stream_draws` reads a :class:`~repro.diffusion.engine.WorldSampler`'s
+coin flips at given draw positions the slow way: every layer's stream from
+its frozen state, world after world, with no skip-ahead.  The draws an event
+batch's block redraw reports at its probe positions must equal it.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from typing import (
     Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
@@ -39,6 +45,7 @@ from repro.core.allocation import expected_sc_cost
 from repro.core.deployment import Deployment
 from repro.core.guaranteed_paths import GPIResult, GuaranteedPath
 from repro.diffusion import rr_sets
+from repro.diffusion.engine import WorldSampler
 from repro.diffusion.live_edge import cascade_in_world, sample_worlds
 from repro.diffusion.rr_sets import RRBenefitEstimator, RRSetSampler
 from repro.graph.social_graph import SocialGraph
@@ -197,6 +204,29 @@ class DictRRSampler(RRSetSampler):
                     visited.add(source)
                     frontier.append(source)
         return target, visited
+
+
+def stream_draws(
+    sampler: WorldSampler, positions: np.ndarray, num_worlds: int
+) -> np.ndarray:
+    """``out[w, i]``: world ``w``'s draw at flat position ``positions[i]``.
+
+    Layer ``k`` covers the ``width_k`` positions after the earlier layers';
+    world ``w``'s draws there are the ``w``-th run of ``width_k`` doubles of
+    the layer's own stream.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    out = np.empty((num_worlds, positions.size), dtype=np.float64)
+    low = 0
+    for state, width in sampler.layers:
+        bit_generator = sampler.bit_generator_class()
+        bit_generator.state = copy.deepcopy(state)
+        generator = np.random.Generator(bit_generator)
+        selected = np.flatnonzero((positions >= low) & (positions < low + width))
+        for world in range(num_worlds):
+            out[world, selected] = generator.random(width)[positions[selected] - low]
+        low += width
+    return out
 
 
 def dict_rr_estimator(

@@ -5,17 +5,20 @@ live-edge worlds from a sampler's layered streams in one native call.  It
 must give exactly the block of
 :meth:`~repro.diffusion.engine.WorldSampler._draw_block_numpy` — the same
 int32 targets, the same absolute int64 offsets — and the same draws at probed
-positions as :meth:`~repro.diffusion.engine.WorldSampler.draws_at`, for any
-layering, any block bounds and any bit generator.  These tests pin that:
+positions as :func:`tests.oracles.stream_draws`, which reads each layer's
+stream in order with no skip-ahead, for any layering, any block bounds and
+any bit generator.  These tests pin that:
 
 * hypothesis over graphs evolved by up to three event batches (so blocks
-  are drawn from several stream layers), four bit generators, blocks of any
-  start and length, and probes anywhere in the stream; a final batch
-  reweights one edge to exactly one world's draw at it, so a ``<=`` for the
-  kernel's ``<`` shows;
-* a resident engine's event path: the dirty mask it reads off its redraw
-  equals :func:`~repro.diffusion.reconcile.dirty_world_mask`, and the block
-  it redrew equals the numpy loop's;
+  are drawn from several stream layers), four bit generators, any shard
+  size, blocks of any start and length, and probes anywhere in the stream;
+  a final batch reweights one edge to exactly one world's draw at it, so a
+  ``<=`` for the kernel's ``<`` shows;
+* the event path of every engine, resident or sharded: the dirty mask it
+  reads off its block redraw is the dirty-world rule applied to the stream
+  oracle's draws, and the blocks it redrew equal the numpy loop's;
+* the same mask and probe draws for each bit generator on a fixed graph,
+  on whichever draw the environment has (native or numpy);
 * resumption: with a target buffer of one world's bound (``indptr[-1]``
   entries) the entry stops before every world that might not fit, and the
   resumed calls still produce the numpy loop's block;
@@ -29,7 +32,7 @@ from hypothesis import given, settings
 
 from repro.diffusion import kernels
 from repro.diffusion.engine import CompiledCascadeEngine, WorldSampler
-from repro.diffusion.reconcile import dirty_world_mask
+from repro.diffusion.reconcile import dirty_probe, dirty_rows
 from repro.graph.attributes import NodeAttributes
 from repro.graph.events import (
     EdgeAdd,
@@ -40,6 +43,7 @@ from repro.graph.events import (
     NodeRetire,
 )
 from repro.graph.social_graph import SocialGraph
+from tests.oracles import stream_draws
 
 NUM_WORLDS = 12
 BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
@@ -99,6 +103,21 @@ def _assert_blocks_equal(block, reference):
     np.testing.assert_array_equal(block.offsets, reference.offsets)
 
 
+def _assert_grid_is_numpy_loops(engine):
+    no_probe = np.empty(0, dtype=np.int64)
+    for start, count, block in engine.world_blocks():
+        oracle, _ = engine.sampler._draw_block_numpy(start, count, no_probe)
+        _assert_blocks_equal(block, oracle)
+
+
+def _assert_mask_is_stream_rule(mask, engine, application):
+    positions, thresholds = dirty_probe(application)
+    np.testing.assert_array_equal(
+        mask,
+        dirty_rows(stream_draws(engine.sampler, positions, NUM_WORLDS), thresholds),
+    )
+
+
 def _tie_batch(sampler, edge_choice, world):
     """Reweight one edge to exactly ``world``'s draw at it, or ``None``."""
     compiled = sampler.compiled
@@ -107,7 +126,7 @@ def _tie_batch(sampler, edge_choice, world):
     slot = edge_choice % compiled.num_edges
     source = int(np.searchsorted(compiled.indptr, slot, side="right")) - 1
     position = np.array([compiled.edge_pos[slot]], dtype=np.int64)
-    tie = float(sampler.draws_at(position, world + 1)[world, 0])
+    tie = float(stream_draws(sampler, position, world + 1)[world, 0])
     return GraphEventBatch(
         [
             EdgeReweight(
@@ -154,6 +173,7 @@ def _draw_with_tight_buffer(kernel, sampler, start, count, probe):
     evolving_graph(),
     st.sampled_from(BIT_GENERATORS),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=NUM_WORLDS),
     st.integers(min_value=0, max_value=NUM_WORLDS - 1),
     st.integers(min_value=1, max_value=NUM_WORLDS),
     st.lists(st.integers(min_value=0, max_value=10**6), max_size=6),
@@ -163,29 +183,24 @@ def _draw_with_tight_buffer(kernel, sampler, start, count, probe):
     ),
 )
 def test_native_draw_matches_numpy_loop(
-    data, kind, seed, start, count, probe_choices, tie
+    data, kind, seed, shard_size, start, count, probe_choices, tie
 ):
     graph, batches = data
     kernel = kernels.load_kernel()
     engine = CompiledCascadeEngine(
         graph.compiled(), NUM_WORLDS, seed=np.random.Generator(kind(seed)),
-        use_kernel=False,
+        shard_size=shard_size, use_kernel=False,
     )
-    assert not engine.is_sharded
-    no_probe = np.empty(0, dtype=np.int64)
-    oracle, _ = engine.sampler._draw_block_numpy(0, NUM_WORLDS, no_probe)
-    _assert_blocks_equal(engine._resident_block, oracle)
+    _assert_grid_is_numpy_loops(engine)
 
     def evolve(batch):
         application = graph.apply_events(batch)
-        mask, _ = engine.apply_events(application)
-        # The mask read off the redraw is the sharded path's probe...
-        np.testing.assert_array_equal(
-            mask, dirty_world_mask(engine.sampler, application, NUM_WORLDS)
+        # The mask read off the redraw is the rule on the stream's draws...
+        _assert_mask_is_stream_rule(
+            engine.apply_events(application), engine, application
         )
-        # ...and the redrawn resident block is the numpy loop's.
-        oracle, _ = engine.sampler._draw_block_numpy(0, NUM_WORLDS, no_probe)
-        _assert_blocks_equal(engine._resident_block, oracle)
+        # ...and the redrawn blocks are the numpy loop's.
+        _assert_grid_is_numpy_loops(engine)
 
     for batch in batches:
         evolve(batch)
@@ -205,7 +220,7 @@ def test_native_draw_matches_numpy_loop(
     _assert_blocks_equal(native, oracle)
     np.testing.assert_array_equal(native_draws, oracle_draws)
     np.testing.assert_array_equal(
-        native_draws, sampler.draws_at(probe, start + count)[start:]
+        native_draws, stream_draws(sampler, probe, start + count)[start:]
     )
 
     targets, offsets, probed = _draw_with_tight_buffer(
@@ -276,3 +291,55 @@ def test_draw_entry_rejects_bad_arguments(two_hop_path):
         call(targets=np.empty(count * compiled.num_edges, dtype=np.int64))
     with pytest.raises(TypeError, match="float64"):
         call(probs=compiled.probs.astype(np.float32))
+
+
+def _fixed_graph():
+    rng = np.random.default_rng(3)
+    graph = SocialGraph()
+    for node in range(10):
+        graph.add_node(node, benefit=1.0, seed_cost=1.0, sc_cost=1.0)
+    while graph.num_edges < 30:
+        source, target = (int(v) for v in rng.integers(0, 10, size=2))
+        if source != target and not graph.has_edge(source, target):
+            graph.add_edge(source, target, float(rng.uniform(0.1, 0.6)))
+    return graph
+
+
+@pytest.mark.parametrize("shard_size", [None, 5])
+@pytest.mark.parametrize("kind", BIT_GENERATORS)
+def test_event_redraw_reads_the_stream_oracle(kind, shard_size):
+    """Each batch's mask and probe draws are the stream oracle's, per generator.
+
+    Two batches, so the second reads a three-layer stream: the edges added
+    by each batch live in that batch's own layer.
+    """
+    graph = _fixed_graph()
+    (drop_u, drop_v, _), (weight_u, weight_v, _) = sorted(
+        graph.edges(), key=lambda e: (e[2], str(e[0]), str(e[1]))
+    )[:2]
+    batches = [
+        GraphEventBatch(
+            [
+                EdgeDrop(drop_u, drop_v),
+                EdgeAdd(0, "x", 0.1),
+                EdgeReweight(weight_u, weight_v, 0.15),
+            ]
+        ),
+        GraphEventBatch([EdgeAdd("x", 3, 0.2), EdgeAdd(4, "x", 0.05)]),
+    ]
+    engine = CompiledCascadeEngine(
+        graph.compiled(), NUM_WORLDS, seed=np.random.Generator(kind(11)),
+        shard_size=shard_size,
+    )
+    assert engine.is_sharded is (shard_size is not None)
+    for batch in batches:
+        application = graph.apply_events(batch)
+        mask = engine.apply_events(application)
+        _assert_mask_is_stream_rule(mask, engine, application)
+        assert 0 < mask.sum() < NUM_WORLDS
+        positions, _ = dirty_probe(application)
+        expected = stream_draws(engine.sampler, positions, NUM_WORLDS)
+        for start, count in engine.bounds:
+            _, draws = engine.sampler.draw_block(start, count, probe=positions)
+            np.testing.assert_array_equal(draws, expected[start : start + count])
+    assert len(engine.sampler.layers) == 3

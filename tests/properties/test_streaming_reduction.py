@@ -168,9 +168,7 @@ def test_out_of_order_blocks_fold_in_block_order(two_hop_path):
             return iter(list(reversed(results)))
 
     pool = ReversingPool(order_seed=0)
-    executor = ShardExecutor(
-        engine.sampler, num_worlds=12, shard_size=3, pool=pool
-    )
+    executor = ShardExecutor(engine.sampler, bounds=engine.bounds, pool=pool)
     seed_indices = engine.compiled.indices_of(["a"])
     coupon_items = [
         (engine.compiled.index["a"], 1), (engine.compiled.index["b"], 1)
