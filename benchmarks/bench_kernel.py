@@ -26,8 +26,13 @@ benefit evaluation costs milliseconds (the regime the kernel exists for):
 * **world draw** (recorded, not gated) — milliseconds to draw one block of
   every world from the sampler's stream, with the kernel's draw entry
   (``native_draw_ms``) and with the numpy loop (``numpy_draw_ms``); their
-  targets and offsets must be equal.  This is the draw a resident engine
-  repeats for every event batch.
+  targets and offsets must be equal.
+* **event batch** (recorded, not gated) — milliseconds to carry the block
+  across one 20-event batch (edge adds, drops and reweights, node adds):
+  the kernel's native redraw of every world (``event_redraw_ms``) against
+  the evolve a resident PCG64 engine runs instead, which keeps the copied
+  rows and reads only the rebuilt rows' draws by jump-ahead
+  (``event_evolve_ms``).  Blocks and probed draws must be equal.
 
 The deployments are deliberately heavy (many seeds, coupons on every
 spreader) so cascades run deep: the kernel accelerates the per-activation
@@ -57,6 +62,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import time
 from pathlib import Path
 
@@ -66,8 +72,10 @@ import pytest
 from benchmarks.conftest import BENCH_SEED
 from repro.diffusion import kernels
 from repro.diffusion.engine import CompiledCascadeEngine
+from repro.diffusion.reconcile import dirty_probe
 from repro.experiments.reporting import format_table
 from repro.experiments.scalability import synthetic_scenario
+from repro.graph.events import EdgeAdd, EdgeDrop, EdgeReweight, GraphEventBatch, NodeAdd
 from repro.utils.timer import Timer
 
 SIZES = [
@@ -135,13 +143,34 @@ def _snapshot_passes(engine, inputs):
 
 
 def _draw_ms(draw, repeats=5):
-    """(block, median ms) of ``repeats`` draws of the same block."""
+    """(``(block, draws)``, median ms) of ``repeats`` draws of the same block."""
     times = []
     for _ in range(repeats):
         with Timer() as timer:
-            block, _ = draw()
+            drawn = draw()
         times.append(timer.elapsed * 1e3)
-    return block, sorted(times)[len(times) // 2]
+    return drawn, sorted(times)[len(times) // 2]
+
+
+def _event_batch(graph, seed, count=20):
+    """``count`` events: edge adds, drops and reweights, and node adds."""
+    rng = random.Random(seed)
+    nodes = sorted(graph.nodes(), key=str)
+    edges = sorted(((s, t) for s, t, _ in graph.edges()), key=str)
+    events = []
+    for index in range(count):
+        kind = index % 10
+        if kind < 4:
+            source, target = rng.sample(nodes, 2)
+            events.append(EdgeAdd(source, target, rng.uniform(0.02, 0.3)))
+        elif kind < 6:
+            events.append(EdgeDrop(*edges[rng.randrange(len(edges))]))
+        elif kind < 9:
+            source, target = edges[rng.randrange(len(edges))]
+            events.append(EdgeReweight(source, target, rng.uniform(0.02, 0.3)))
+        else:
+            events.append(NodeAdd(f"joiner-{index}"))
+    return GraphEventBatch(events)
 
 
 def _append_trajectory(points, backend, effective_workers, parallel_skip_reason):
@@ -234,16 +263,32 @@ def test_kernel_vs_interpreted_throughput(report):
 
         sampler = kernel_engine.sampler
         no_probe = np.empty(0, dtype=np.int64)
-        numpy_block, numpy_draw_ms = _draw_ms(
+        (numpy_block, _), numpy_draw_ms = _draw_ms(
             lambda: sampler._draw_block_numpy(0, NUM_SAMPLES, no_probe)
         )
-        native_block, native_draw_ms = _draw_ms(
+        (native_block, _), native_draw_ms = _draw_ms(
             lambda: sampler._draw_block_native(
                 kernels.load_kernel(), 0, NUM_SAMPLES, no_probe
             )
         )
         assert np.array_equal(native_block.targets, numpy_block.targets)
         assert np.array_equal(native_block.offsets, numpy_block.offsets)
+
+        application = compiled.apply_events(_event_batch(scenario.graph, BENCH_SEED))
+        evolved = sampler.rekey(application.compiled, application.num_new_draws)
+        positions, _ = dirty_probe(application)
+        [(_, _, resident)] = kernel_engine.world_blocks()
+        (redrawn, redraw_draws), redraw_ms = _draw_ms(
+            lambda: evolved.draw_block_private(0, NUM_SAMPLES, probe=positions)
+        )
+        (carried, evolve_draws), evolve_ms = _draw_ms(
+            lambda: evolved.evolve_block(
+                kernels.load_kernel(), resident, application, positions
+            )
+        )
+        assert np.array_equal(carried.targets, redrawn.targets)
+        assert np.array_equal(carried.offsets, redrawn.offsets)
+        assert np.array_equal(evolve_draws, redraw_draws)
 
         point = {
             "nodes": size,
@@ -258,6 +303,9 @@ def test_kernel_vs_interpreted_throughput(report):
             "numpy_draw_ms": round(numpy_draw_ms, 3),
             "native_draw_ms": round(native_draw_ms, 3),
             "identical_draws": True,
+            "event_rebuilt_rows": len(application.rebuilt),
+            "event_redraw_ms": round(redraw_ms, 3),
+            "event_evolve_ms": round(evolve_ms, 3),
             "workers2_interpreted_evals_per_sec": None,
             "workers2_kernel_evals_per_sec": None,
             "workers2_speedup": None,

@@ -180,7 +180,9 @@ class WorldSampler:
     Blocks are drawn by the native kernel's draw entry
     (:meth:`~repro.diffusion.kernels.CascadeKernel.draw_worlds`) whenever it
     loads, and otherwise by :meth:`_draw_block_numpy`, its oracle; the two
-    consume the same doubles and give identical arrays.
+    consume the same doubles and give identical arrays.  Across an event
+    batch, a block of PCG64 worlds can instead be evolved from the old one
+    (:meth:`evolve_block`), which gives the same arrays again.
 
     The sampler is picklable (frozen state + the compiled graph), which is
     what lets :mod:`repro.diffusion.parallel` ship it to worker processes
@@ -386,6 +388,37 @@ class WorldSampler:
         used = int(offsets[-1, -1]) if count else 0
         return FlatWorldBlock(targets[:used].copy(), offsets, count), probed
 
+    def evolve_block(
+        self, kernel, block: FlatWorldBlock, application, probe: np.ndarray
+    ) -> Tuple[FlatWorldBlock, np.ndarray]:
+        """The resident block of every world, carried across an event batch.
+
+        ``self`` is the sampler :meth:`rekey` returned for ``application``
+        (PCG64 layers only), ``block`` the pre-batch sampler's block of every
+        world.  A row the batch copied wholesale keeps each world's live
+        targets, remapped: its slots keep their probabilities and draw
+        positions, so their draws are unchanged.  Only the rebuilt rows and
+        the new nodes' rows are drawn, with the ``probe`` positions, by the
+        kernel's PCG64 jump-ahead
+        (:meth:`~repro.diffusion.kernels.CascadeKernel.evolve_worlds`).  The
+        block and draws equal what :meth:`draw_block` with ``probe`` would
+        give, and the block is published when a store is attached, as there.
+        """
+        compiled = self.compiled
+        remap = application.remap
+        survivors = np.flatnonzero(remap >= 0)
+        source = np.full(compiled.num_nodes, -1, dtype=np.int64)
+        source[remap[survivors]] = survivors
+        source[list(application.rebuilt)] = -1
+        targets, offsets, draws = kernel.evolve_worlds(
+            compiled.indptr, compiled.indices, compiled.edge_pos, compiled.probs,
+            self.layers, source, remap, block.targets, block.offsets, probe,
+        )
+        evolved = FlatWorldBlock(targets, offsets, block.count)
+        if self.store is not None:
+            evolved = self.store.publish(0, block.count, evolved)
+        return evolved, draws
+
     def _draw_block_numpy(
         self, start: int, count: int, probe: np.ndarray
     ) -> Tuple[FlatWorldBlock, np.ndarray]:
@@ -485,6 +518,18 @@ class BlockCache:
         """
         block, draws = self.sampler.draw_block(start, count, probe=probe)
         self._keep(start, block)
+        return draws
+
+    def evolve(
+        self, kernel, block: FlatWorldBlock, application, probe: np.ndarray
+    ) -> np.ndarray:
+        """Evolve a one-block grid's old ``block`` into this (fresh) cache.
+
+        Returns its draws at ``probe``, as :meth:`redraw` does
+        (:meth:`WorldSampler.evolve_block`).
+        """
+        block, draws = self.sampler.evolve_block(kernel, block, application, probe)
+        self._keep(0, block)
         return draws
 
     def release(self) -> None:
@@ -1141,13 +1186,26 @@ class CompiledCascadeEngine:
 
         Returns the dirty mask: per world, whether the batch's changed edges
         touch its live set (the rule of :mod:`repro.diffusion.reconcile`).
-        This is the one place the evolved stream is read: every block of the
-        grid is redrawn once into the new block cache, published when a
-        store is attached (so pool workers attach instead of drawing), and
-        the changed positions' draws come out of that same pass.
+        This is the one place the evolved stream is read, once per world,
+        and the changed positions' draws come out of that same pass.  A
+        one-block grid of PCG64 worlds with the native kernel evolves its
+        block: the old block's rows the batch copied are kept and only the
+        rebuilt rows are drawn (:meth:`WorldSampler.evolve_block`).  Every
+        other grid redraws each block into the new block cache.  Either way
+        the blocks are published when a store is attached, so pool workers
+        attach instead of drawing.
         """
         compiled = application.compiled
         old_compiled = self.compiled
+        kernel = _kernels.load_kernel()
+        old_block = (
+            self._block(0)
+            if not self.is_sharded
+            and kernel is not None
+            and kernel.pcg64_jump_ahead
+            and self.sampler.bit_generator_class is np.random.PCG64
+            else None
+        )
 
         if self.shared_memory:
             from repro.graph.shared import share_compiled
@@ -1184,16 +1242,19 @@ class CompiledCascadeEngine:
         if segment is not None and getattr(old_compiled, "owns_segment", False):
             _shm.close_segment(segment)
 
-        # Last block first, so the LRU ends up holding the first blocks: the
-        # ones the dirty worlds' ascending re-simulation reads first.
         cache = self._block_cache = BlockCache(sampler, _MAX_CACHED_BLOCKS)
         positions, thresholds = dirty_probe(application)
-        draws = [
-            cache.redraw(start, count, positions)
-            for start, count in reversed(self.bounds)
-        ]
+        if old_block is not None:
+            draws = cache.evolve(kernel, old_block, application, positions)
+        else:
+            # Last block first, so the LRU ends up holding the first blocks:
+            # the ones the dirty worlds' ascending re-simulation reads first.
+            draws = np.concatenate([
+                cache.redraw(start, count, positions)
+                for start, count in reversed(self.bounds)
+            ][::-1])
         self._reset_scratch()
-        return dirty_rows(np.concatenate(draws[::-1]), thresholds)
+        return dirty_rows(draws, thresholds)
 
     def close(self) -> None:
         """Release the executor and sweep shared world-block segments.

@@ -101,6 +101,20 @@ the entry holds every layer generator's ``bit_generator.lock`` while it
 draws.  A world has at most ``indptr[-1]`` live targets, so, as the other
 entries do, it stops before a world that might not fit and returns how many
 worlds it finished; the caller grows the targets buffer and resumes.
+
+Two more entries read PCG64 streams (numpy's default bit generator) without
+drawing them.  :meth:`CascadeKernel.pcg64_doubles` returns any world's
+double at any offset of one layer: it is the output of step ``w × width +
+j + 1`` from the layer's frozen state, reached by an LCG jump (numpy's
+``pcg_advance_lcg_128``), and a world's width of steps is one affine map, so
+each further world's double costs one 128-bit multiply-add.
+:meth:`CascadeKernel.evolve_worlds` carries a resident block across an event
+batch: per world, the rows the batch copied take the old block's live
+targets through the node remap, and the rebuilt rows are scanned as the draw
+entry scans them, each coin read by that jump-ahead; the draws at the
+batch's probe positions come out of the same call.  Both entries need
+128-bit integers (``__SIZEOF_INT128__``); :attr:`CascadeKernel.pcg64_jump_ahead`
+says whether the library has them.
 """
 
 from __future__ import annotations
@@ -373,6 +387,218 @@ int64_t repro_draw_worlds(
     }
     return count - first;
 }
+
+#ifdef __SIZEOF_INT128__
+#include <stdlib.h>
+
+/* numpy's PCG64 steps a 128-bit LCG, s -> M s + inc, and outputs XSL-RR of
+ * the new state; next_double turns an output x into (x >> 11) * 2^-53.  A
+ * coin is one draw position of one world, read without drawing the stream
+ * before it: its state is reached by jump-ahead, and one world's width of
+ * steps is one affine map, so the next world's coin is one multiply-add. */
+typedef unsigned __int128 repro_u128;
+typedef struct { repro_u128 mult, plus; } repro_lcg_t;   /* s -> mult s + plus */
+typedef struct { repro_u128 state; const repro_lcg_t *step; } repro_coin_t;
+
+static const repro_u128 REPRO_PCG64_MULT =
+    ((repro_u128)2549297995355413924ULL << 64) | 4865540595714422341ULL;
+
+static repro_u128 repro_word128(const uint64_t *words)
+{
+    return ((repro_u128)words[0] << 64) | words[1];
+}
+
+/* steps LCG steps as one affine map: numpy's pcg_advance_lcg_128. */
+static repro_lcg_t repro_pcg64_jump(repro_u128 inc, uint64_t steps)
+{
+    repro_u128 cur_mult = REPRO_PCG64_MULT, cur_plus = inc;
+    repro_lcg_t acc = {1, 0};
+    while (steps) {
+        if (steps & 1) {
+            acc.mult *= cur_mult;
+            acc.plus = acc.plus * cur_mult + cur_plus;
+        }
+        cur_plus = (cur_mult + 1) * cur_plus;
+        cur_mult *= cur_mult;
+        steps >>= 1;
+    }
+    return acc;
+}
+
+static inline double repro_pcg64_double(repro_u128 state)
+{
+    const uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    const unsigned rot = (unsigned)(state >> 122);
+    /* Below 2^53, so the signed conversion is exact (and faster). */
+    return (double)(int64_t)(((x >> rot) | (x << ((-rot) & 63))) >> 11)
+        * (1.0 / 9007199254740992.0);
+}
+
+/* The coin at offset local of world first, in a layer of width doubles per
+ * world whose frozen (state, inc) are layer[0..1], layer[2..3], and whose
+ * world's width of steps is step: the output of step first * width +
+ * local + 1. */
+static void repro_coin_init(
+    repro_coin_t *coin, const uint64_t *layer, const repro_lcg_t *step,
+    int64_t width, int64_t first, int64_t local)
+{
+    const repro_lcg_t to = repro_pcg64_jump(
+        repro_word128(layer + 2),
+        (uint64_t)first * (uint64_t)width + (uint64_t)local + 1);
+    coin->state = to.mult * repro_word128(layer) + to.plus;
+    coin->step = step;
+}
+
+/* The layer holding draw position p: the last whose start is <= p. */
+static int64_t repro_layer_of(const int64_t *starts, int64_t num_layers, int64_t p)
+{
+    int64_t low = 0, high = num_layers - 1;
+    while (low < high) {
+        const int64_t mid = high - (high - low) / 2;
+        if (starts[mid] <= p) low = mid; else high = mid - 1;
+    }
+    return low;
+}
+
+/* The coin's double, then the coin moved to the next world. */
+static inline double repro_coin_flip(repro_coin_t *coin)
+{
+    const double draw = repro_pcg64_double(coin->state);
+    coin->state = coin->step->mult * coin->state + coin->step->plus;
+    return draw;
+}
+
+/* out[i][k]: world first + i's double at offset local[k] of one layer. */
+int64_t repro_pcg64_doubles(
+    const uint64_t *layer,       /* state high, state low, inc high, inc low */
+    int64_t width,
+    const int64_t *local,        /* offsets in [0, width) */
+    int64_t num_local,
+    int64_t first,
+    int64_t count,
+    double *out)                 /* count x num_local */
+{
+    repro_coin_t *coins = malloc((size_t)(num_local ? num_local : 1) * sizeof *coins);
+    if (!coins) return -1;
+    const repro_lcg_t step = repro_pcg64_jump(repro_word128(layer + 2), (uint64_t)width);
+    for (int64_t k = 0; k < num_local; ++k)
+        repro_coin_init(coins + k, layer, &step, width, first, local[k]);
+    for (int64_t i = 0; i < count; ++i)
+        for (int64_t k = 0; k < num_local; ++k)
+            out[i * num_local + k] = repro_coin_flip(coins + k);
+    free(coins);
+    return count;
+}
+
+/* Carry a block of worlds 0 .. count - 1 across an event batch.  A row with
+ * a source copies that old row's live targets in every world, through remap;
+ * a row without one (rebuilt, or a new node's) is scanned as
+ * repro_draw_worlds scans a row, each slot's draw read as a coin.  Then the
+ * draws at the probe positions.  Every target written is a copied one or a
+ * scanned slot's, so targets needs the old block's plus count x the scanned
+ * slots.  Returns -2 if a copied target has no new node. */
+int64_t repro_evolve_worlds(
+    const int64_t *indptr,       /* the new CSR: num_nodes + 1 */
+    const int64_t *indices,
+    const int64_t *edge_pos,
+    const double *probs,
+    int64_t num_nodes,
+    const uint64_t *layers,      /* per layer: state high, low, inc high, low */
+    const int64_t *widths,       /* per layer: draws per world */
+    int64_t num_layers,
+    const int64_t *source,       /* per new row: its old row, or -1 */
+    const int64_t *remap,        /* old node -> new node */
+    const int32_t *old_targets,
+    const int64_t *old_offsets,  /* count x (old_nodes + 1), absolute */
+    int64_t old_nodes,
+    const int64_t *probe,        /* draw positions to copy out */
+    int64_t num_probe,
+    double *probed,              /* count x num_probe */
+    int64_t count,
+    int32_t *targets,
+    int64_t *offsets)            /* count x (num_nodes + 1), absolute */
+{
+    int64_t num_coins = num_probe;
+    for (int64_t u = 0; u < num_nodes; ++u)
+        if (source[u] < 0) num_coins += indptr[u + 1] - indptr[u];
+    repro_coin_t *coins = malloc((size_t)(num_coins ? num_coins : 1) * sizeof *coins);
+    int64_t *starts = malloc((size_t)num_layers * sizeof *starts);
+    repro_lcg_t *steps = malloc((size_t)num_layers * sizeof *steps);
+    if (!coins || !starts || !steps) {
+        free(coins);
+        free(starts);
+        free(steps);
+        return -1;
+    }
+    int64_t low = 0;
+    for (int64_t k = 0; k < num_layers; ++k) {
+        starts[k] = low;
+        low += widths[k];
+        steps[k] = repro_pcg64_jump(repro_word128(layers + 4 * k + 2), (uint64_t)widths[k]);
+    }
+    /* The scanned slots' coins in scan order, then the probes'. */
+    repro_coin_t *coin = coins;
+    for (int64_t u = 0; u < num_nodes; ++u) {
+        if (source[u] >= 0) continue;
+        for (int64_t slot = indptr[u]; slot < indptr[u + 1]; ++slot) {
+            const int64_t k = repro_layer_of(starts, num_layers, edge_pos[slot]);
+            repro_coin_init(
+                coin++, layers + 4 * k, steps + k, widths[k], 0, edge_pos[slot] - starts[k]);
+        }
+    }
+    for (int64_t j = 0; j < num_probe; ++j) {
+        const int64_t k = repro_layer_of(starts, num_layers, probe[j]);
+        repro_coin_init(coin++, layers + 4 * k, steps + k, widths[k], 0, probe[j] - starts[k]);
+    }
+    free(starts);
+
+    const int64_t stride = num_nodes + 1;
+    const int64_t old_stride = old_nodes + 1;
+    int64_t tail = 0;
+    for (int64_t w = 0; w < count; ++w) {
+        const int64_t *old_row = old_offsets + w * old_stride;
+        int64_t *row = offsets + w * stride;
+        coin = coins;
+        int64_t u = 0;
+        while (u < num_nodes) {
+            const int64_t old = source[u];
+            if (old < 0) {
+                row[u] = tail;
+                const int64_t high = indptr[u + 1];
+                for (int64_t slot = indptr[u]; slot < high; ++slot) {
+                    /* Branch-free, as in repro_draw_worlds. */
+                    targets[tail] = (int32_t)indices[slot];
+                    tail += repro_coin_flip(coin++) < probs[slot];
+                }
+                ++u;
+                continue;
+            }
+            /* A run of rows copying consecutive old rows: one shifted span. */
+            int64_t end = u + 1;
+            while (end < num_nodes && source[end] == old + (end - u)) ++end;
+            const int64_t shift = tail - old_row[old];
+            for (int64_t v = u; v < end; ++v) row[v] = old_row[old + (v - u)] + shift;
+            const int64_t high = old_row[old + (end - u)];
+            for (int64_t pos = old_row[old]; pos < high; ++pos) {
+                const int64_t target = remap[old_targets[pos]];
+                if (target < 0) {
+                    free(coins);
+                    free(steps);
+                    return -2;
+                }
+                targets[tail++] = (int32_t)target;
+            }
+            u = end;
+        }
+        row[num_nodes] = tail;
+        double *probe_row = probed + w * num_probe;
+        for (int64_t j = 0; j < num_probe; ++j) probe_row[j] = repro_coin_flip(coin++);
+    }
+    free(coins);
+    free(steps);
+    return count;
+}
+#endif
 """
 
 
@@ -480,6 +706,20 @@ class CascadeKernel:
             c_i64, c_i64, ptr, c_i64, ptr,
         ]
         self._draw_raw.restype = c_i64
+        #: Whether the library has the PCG64 jump-ahead entries, which need a
+        #: compiler with 128-bit integers (:meth:`pcg64_doubles`,
+        #: :meth:`evolve_worlds`).
+        self.pcg64_jump_ahead = hasattr(library, "repro_evolve_worlds")
+        if self.pcg64_jump_ahead:
+            self._doubles_raw = library.repro_pcg64_doubles
+            self._doubles_raw.argtypes = [ptr, c_i64, ptr, c_i64, c_i64, c_i64, ptr]
+            self._doubles_raw.restype = c_i64
+            self._evolve_raw = library.repro_evolve_worlds
+            self._evolve_raw.argtypes = [
+                ptr, ptr, ptr, ptr, c_i64, ptr, ptr, c_i64, ptr, ptr, ptr, ptr,
+                c_i64, ptr, c_i64, ptr, c_i64, ptr, ptr,
+            ]
+            self._evolve_raw.restype = c_i64
         self._block_at = _address_memo(i32, i64, i32, i64, i64, i32, i64)
         self._instrumented_at = _address_memo(
             i32, i64, i64, i32, i64, i64, i32, i32, i64
@@ -487,6 +727,10 @@ class CascadeKernel:
         self._rr_at = _address_memo(i64, i64, np.float64, i64, i64, i64, i64)
         self._draw_at = _address_memo(
             i64, i64, i64, np.float64, i64, np.float64, i32, i64
+        )
+        self._doubles_at = _address_memo(i64)
+        self._evolve_at = _address_memo(
+            i64, i64, i64, np.float64, i64, i64, i32, i64, i64
         )
         self._warmed = False
         #: Seconds this process spent compiling the shared library (0.0 on
@@ -635,29 +879,12 @@ class CascadeKernel:
         not fit in ``targets`` (it holds at most ``indptr[-1]`` live targets)
         and returns how many worlds it finished.
         """
-        num_nodes = indptr.shape[0] - 1
-        num_slots = int(indptr[-1]) if num_nodes >= 0 else -1
-        if (
-            num_slots < 0
-            or indptr[0] != 0
-            or (indptr[1:] < indptr[:-1]).any()
-            or not indices.shape == edge_pos.shape == probs.shape == (num_slots,)
-        ):
-            raise ValueError("CSR indptr, indices, edge_pos and probs disagree")
         if len(generators) != len(widths):
             raise ValueError(
                 f"{len(generators)} generators for {len(widths)} stream layers"
             )
         widths_arr = np.asarray(widths, dtype=np.int64)
-        if (
-            (widths_arr < 0).any()
-            or widths_arr.sum() != num_draws
-            or (num_slots and not 0 <= edge_pos.min() <= edge_pos.max() < num_draws)
-        ):
-            raise ValueError(
-                f"layer widths {widths_arr.tolist()} do not sum to the "
-                f"{num_draws} draws covering the edges' draw positions"
-            )
+        num_nodes = _check_stream(indptr, indices, edge_pos, probs, widths_arr, num_draws)
         count = offsets.shape[0]
         if (
             offsets.shape != (count, num_nodes + 1)
@@ -668,13 +895,7 @@ class CascadeKernel:
                 f"offsets of shape {offsets.shape} for {num_nodes} nodes, "
                 f"resuming at world {first} within {targets.shape[0]} targets"
             )
-        if probed.shape != (count, probe.shape[0]) or (
-            probe.size and not 0 <= probe.min() <= probe.max() < num_draws
-        ):
-            raise ValueError(
-                f"probed of shape {probed.shape} for {count} worlds and "
-                f"{probe.shape[0]} probe positions within {num_draws} draws"
-            )
+        _check_probe(probe, probed, count, num_draws)
         bitgens = np.array(
             [g.bit_generator.ctypes.bit_generator.value for g in generators],
             dtype=np.uintp,
@@ -694,6 +915,109 @@ class CascadeKernel:
                 probe.shape[0], at(5, probed), first, count, at(6, targets),
                 targets.shape[0], at(7, offsets),
             )
+
+    def pcg64_doubles(
+        self, state: dict, width: int, local: np.ndarray, first: int, count: int
+    ) -> np.ndarray:
+        """World ``first + i``'s double at offset ``local[k]`` of a PCG64 layer.
+
+        ``state`` is the layer's frozen ``bit_generator.state`` and ``width``
+        its doubles per world, so ``out[i, k]`` is the double
+        ``Generator.random`` draws at step ``(first + i) * width + local[k] +
+        1`` of that state, read by jump-ahead without drawing the rest.
+        """
+        if not (width >= 0 and first >= 0 and count >= 0):
+            raise ValueError(
+                f"{count} worlds from world {first} of a layer of width {width}"
+            )
+        if local.size and not 0 <= local.min() <= local.max() < width:
+            raise ValueError(f"local offsets outside a layer of width {width}")
+        words = _pcg64_words([state])
+        out = np.empty((count, local.shape[0]), dtype=np.float64)
+        if self._doubles_raw(
+            words.ctypes.data, width, self._doubles_at(0, local), local.shape[0],
+            first, count, out.ctypes.data,
+        ) < 0:
+            raise MemoryError("pcg64_doubles could not allocate its coins")
+        return out
+
+    def evolve_worlds(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        edge_pos: np.ndarray,
+        probs: np.ndarray,
+        layers: Sequence[Tuple[dict, int]],
+        source: np.ndarray,
+        remap: np.ndarray,
+        old_targets: np.ndarray,
+        old_offsets: np.ndarray,
+        probe: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Carry a block of worlds ``0 .. count - 1`` onto an evolved CSR.
+
+        ``layers`` are the evolved sampler's ``(frozen PCG64 state, width)``
+        pairs.  New row ``u`` with ``source[u] >= 0`` copies old row
+        ``source[u]`` of ``old_targets`` / ``old_offsets`` in every world,
+        each target mapped through ``remap``: the row must have the old
+        row's slots, probabilities and draw positions, and a target the
+        remap retires (``-1``) raises.  A row with ``source[u] == -1`` is
+        drawn as :meth:`draw_worlds` draws it, each slot's double read by
+        jump-ahead (:meth:`pcg64_doubles`).  Returns ``(targets, offsets,
+        probed)``: the block :meth:`draw_worlds` would draw from the
+        layers, and the worlds' doubles at ``probe``.
+        """
+        num_draws = sum(width for _, width in layers)
+        widths = np.array([width for _, width in layers], dtype=np.int64)
+        num_nodes = _check_stream(indptr, indices, edge_pos, probs, widths, num_draws)
+        count = old_offsets.shape[0]
+        old_nodes = old_offsets.shape[1] - 1 if old_offsets.ndim == 2 else -1
+        if old_nodes < 0 or (
+            old_offsets.size
+            and (
+                old_offsets.min() < 0
+                or old_offsets.max() > old_targets.shape[0]
+                or (old_offsets[:, 1:] < old_offsets[:, :-1]).any()
+            )
+        ):
+            raise ValueError(
+                f"old offsets of shape {old_offsets.shape} are not rows of "
+                f"non-decreasing indices into {old_targets.shape[0]} targets"
+            )
+        if old_targets.size and not (
+            0 <= old_targets.min() <= old_targets.max() < old_nodes
+        ):
+            raise ValueError(f"old targets outside the {old_nodes} old nodes")
+        if (
+            remap.shape != (old_nodes,)
+            or source.shape != (num_nodes,)
+            or (remap.size and remap.max() >= num_nodes)
+            or (source.size and not -1 <= source.min() <= source.max() < old_nodes)
+        ):
+            raise ValueError(
+                f"remap of shape {remap.shape} and source of shape "
+                f"{source.shape} for {old_nodes} old and {num_nodes} new rows"
+            )
+        words = _pcg64_words([state for state, _ in layers])
+        scanned = np.diff(indptr)[source < 0].sum()
+        spans = old_offsets[:, -1] - old_offsets[:, 0]
+        targets = np.empty(int(spans.sum()) + count * int(scanned), dtype=np.int32)
+        offsets = np.empty((count, num_nodes + 1), dtype=np.int64)
+        probed = np.empty((count, probe.shape[0]), dtype=np.float64)
+        _check_probe(probe, probed, count, num_draws)
+        at = self._evolve_at
+        status = self._evolve_raw(
+            at(0, indptr), at(1, indices), at(2, edge_pos), at(3, probs),
+            num_nodes, words.ctypes.data, widths.ctypes.data, widths.shape[0],
+            at(4, source), at(5, remap), at(6, old_targets), at(7, old_offsets),
+            old_nodes, at(8, probe), probe.shape[0], probed.ctypes.data, count,
+            targets.ctypes.data, offsets.ctypes.data,
+        )
+        if status == -1:
+            raise MemoryError("evolve_worlds could not allocate its coins")
+        if status == -2:
+            raise ValueError("a copied row holds a target the remap retires")
+        return targets[: int(offsets[-1, -1]) if count else 0], offsets, probed
 
     # -- warm-up -------------------------------------------------------
 
@@ -728,6 +1052,53 @@ class CascadeKernel:
         self._warmed = True
         self.compile_seconds += elapsed
         return elapsed
+
+
+def _check_stream(indptr, indices, edge_pos, probs, widths, num_draws) -> int:
+    """Check a CSR against layer ``widths`` of ``num_draws``; its node count."""
+    num_nodes = indptr.shape[0] - 1
+    num_slots = int(indptr[-1]) if num_nodes >= 0 else -1
+    if (
+        num_slots < 0
+        or indptr[0] != 0
+        or (indptr[1:] < indptr[:-1]).any()
+        or not indices.shape == edge_pos.shape == probs.shape == (num_slots,)
+    ):
+        raise ValueError("CSR indptr, indices, edge_pos and probs disagree")
+    if (
+        (widths < 0).any()
+        or widths.sum() != num_draws
+        or (num_slots and not 0 <= edge_pos.min() <= edge_pos.max() < num_draws)
+    ):
+        raise ValueError(
+            f"layer widths {widths.tolist()} do not sum to the "
+            f"{num_draws} draws covering the edges' draw positions"
+        )
+    return num_nodes
+
+
+def _check_probe(probe, probed, count: int, num_draws: int) -> None:
+    if probed.shape != (count, probe.shape[0]) or (
+        probe.size and not 0 <= probe.min() <= probe.max() < num_draws
+    ):
+        raise ValueError(
+            f"probed of shape {probed.shape} for {count} worlds and "
+            f"{probe.shape[0]} probe positions within {num_draws} draws"
+        )
+
+
+def _pcg64_words(states: Sequence[dict]) -> np.ndarray:
+    """Frozen PCG64 states as uint64 rows ``[state high, low, inc high, low]``."""
+    words = np.empty((len(states), 4), dtype=np.uint64)
+    mask = (1 << 64) - 1
+    for row, state in zip(words, states):
+        if state.get("bit_generator") != "PCG64":
+            raise ValueError(
+                f"jump-ahead reads PCG64 streams, not {state.get('bit_generator')}"
+            )
+        value, inc = state["state"]["state"], state["state"]["inc"]
+        row[:] = (value >> 64, value & mask, inc >> 64, inc & mask)
+    return words
 
 
 def _address_memo(*dtypes):

@@ -478,8 +478,8 @@ class MonteCarloEstimator(BenefitEstimator):
 
         ``application`` is the :class:`~repro.graph.events.EventApplication`
         of a batch applied to this estimator's graph.  The compiled engine is
-        evolved in place (delta CSR, rekeyed layered sampler, redrawn world
-        blocks), the memo caches are dropped (they are keyed
+        evolved in place (delta CSR, rekeyed layered sampler, evolved or
+        redrawn world blocks), the memo caches are dropped (they are keyed
         by deployment, not graph version), and a live delta snapshot is
         advanced by re-simulating **only** the worlds whose live-edge draws
         touch a changed edge — bit-identical to a cold instrumented pass on

@@ -8,7 +8,8 @@ module states the rule that finds those worlds (:func:`dirty_probe`,
 :func:`dirty_rows`), which
 :meth:`CompiledCascadeEngine.apply_events
 <repro.diffusion.engine.CompiledCascadeEngine.apply_events>` applies to the
-draws of its block redraw; :meth:`DeltaCascadeEngine.reconcile
+draws it reads while it evolves or redraws its blocks;
+:meth:`DeltaCascadeEngine.reconcile
 <repro.diffusion.delta.DeltaCascadeEngine.reconcile>`, the snapshot's only
 writer, re-simulates the rest.
 

@@ -250,12 +250,17 @@ class EventApplication:
     added / dropped / reweighted:
         Draw-position records of the edges the batch actually changed:
         ``(position, probability)`` for added edges (positions all at or
-        past ``old_num_draws``), ``(position, old_probability)`` for
-        dropped edges, ``(position, old_probability, new_probability)`` for
-        reweighted edges.  These — not node ids — are what the dirty-world
-        rule of :mod:`repro.diffusion.reconcile` tests against the draws.
+        past the old graph's ``num_draws``), ``(position,
+        old_probability)`` for dropped edges, ``(position, old_probability,
+        new_probability)`` for reweighted edges.  These — not node ids — are
+        what the dirty-world rule of :mod:`repro.diffusion.reconcile` tests
+        against the draws.
     retired:
         Old node indices removed by the batch, ascending.
+    rebuilt:
+        New node indices of the CSR rows the batch rebuilt, ascending.  Every
+        other surviving row was copied wholesale: same slots, probabilities
+        and draw positions, targets through ``remap``.
     num_new_draws:
         Fresh draw positions appended past the old stream width; the
         evolved sampler grows one RNG layer of exactly this width.
@@ -266,11 +271,11 @@ class EventApplication:
         "remap",
         "identity_remap",
         "old_num_nodes",
-        "old_num_draws",
         "added",
         "dropped",
         "reweighted",
         "retired",
+        "rebuilt",
         "num_new_draws",
     )
 
@@ -280,22 +285,22 @@ class EventApplication:
         remap: np.ndarray,
         *,
         old_num_nodes: int,
-        old_num_draws: int,
         added: List[Tuple[int, float]],
         dropped: List[Tuple[int, float]],
         reweighted: List[Tuple[int, float, float]],
         retired: Tuple[int, ...],
+        rebuilt: Tuple[int, ...],
         num_new_draws: int,
     ) -> None:
         self.compiled = compiled
         self.remap = remap
         self.identity_remap = not retired
         self.old_num_nodes = int(old_num_nodes)
-        self.old_num_draws = int(old_num_draws)
         self.added = added
         self.dropped = dropped
         self.reweighted = reweighted
         self.retired = retired
+        self.rebuilt = rebuilt
         self.num_new_draws = int(num_new_draws)
 
     @property
@@ -494,11 +499,11 @@ def compute_application(
             evolved,
             remap,
             old_num_nodes=old_n,
-            old_num_draws=old_num_draws,
             added=[],
             dropped=[],
             reweighted=[],
             retired=(),
+            rebuilt=(),
             num_new_draws=0,
         )
 
@@ -617,11 +622,11 @@ def compute_application(
         evolved,
         remap,
         old_num_nodes=old_n,
-        old_num_draws=old_num_draws,
         added=added,
         dropped=sorted(dropped.items()),
         reweighted=reweighted,
         retired=tuple(sorted(retired_old)),
+        rebuilt=tuple(sorted(new_index[token] for token in rows)),
         num_new_draws=num_new_draws,
     )
 

@@ -15,8 +15,9 @@ any bit generator.  These tests pin that:
   a final batch reweights one edge to exactly one world's draw at it, so a
   ``<=`` for the kernel's ``<`` shows;
 * the event path of every engine, resident or sharded: the dirty mask it
-  reads off its block redraw is the dirty-world rule applied to the stream
-  oracle's draws, and the blocks it redrew equal the numpy loop's;
+  reads off its block redraw (or, resident on PCG64 with the native
+  kernel, its evolve) is the dirty-world rule applied to the stream
+  oracle's draws, and the blocks it holds equal the numpy loop's;
 * the same mask and probe draws for each bit generator on a fixed graph,
   on whichever draw the environment has (native or numpy);
 * resumption: with a target buffer of one world's bound (``indptr[-1]``
