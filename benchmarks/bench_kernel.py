@@ -23,16 +23,19 @@ benefit evaluation costs milliseconds (the regime the kernel exists for):
   snapshot also builds every world's Python lists, which the kernel does
   not speed up, and at the tight-budget deployments of real solves (one
   seed, a coupon or two) the kernel only matches the interpreted loop.
-* **world draw** (recorded, not gated) — milliseconds to draw one block of
-  every world from the sampler's stream, with the kernel's draw entry
-  (``native_draw_ms``) and with the numpy loop (``numpy_draw_ms``); their
-  targets and offsets must be equal.
+* **world draw** (recorded, not gated) — milliseconds to draw one block
+  from the sampler's PCG64 stream with the kernel's jump-ahead draw
+  (``native_draw*_ms``) and with the numpy loop (``numpy_draw*_ms``): a
+  block of every world (``native_draw_ms``), of 25 worlds (the default
+  shard under ``workers=2``, ``native_draw25_ms``) and of 10 worlds
+  (``native_draw10_ms``).  Their targets and offsets must be equal.
 * **event batch** (recorded, not gated) — milliseconds to carry the block
-  across one 20-event batch (edge adds, drops and reweights, node adds):
-  the kernel's native redraw of every world (``event_redraw_ms``) against
-  the evolve a resident PCG64 engine runs instead, which keeps the copied
-  rows and reads only the rebuilt rows' draws by jump-ahead
-  (``event_evolve_ms``).  Blocks and probed draws must be equal.
+  of every world across one 20-event batch (edge adds, drops and
+  reweights, node adds): a fresh native draw of the evolved grid
+  (``event_redraw_ms``) against the evolve a resident PCG64 engine runs
+  instead, the same draw given the old block, which keeps the copied rows
+  and scans only the rebuilt ones (``event_evolve_ms``).  Blocks and probed
+  draws must be equal.
 
 The deployments are deliberately heavy (many seeds, coupons on every
 spreader) so cascades run deep: the kernel accelerates the per-activation
@@ -75,7 +78,9 @@ from repro.diffusion.engine import CompiledCascadeEngine
 from repro.diffusion.reconcile import dirty_probe
 from repro.experiments.reporting import format_table
 from repro.experiments.scalability import synthetic_scenario
-from repro.graph.events import EdgeAdd, EdgeDrop, EdgeReweight, GraphEventBatch, NodeAdd
+from repro.graph.events import (
+    EdgeAdd, EdgeDrop, EdgeReweight, GraphEventBatch, NodeAdd, compute_application,
+)
 from repro.utils.timer import Timer
 
 SIZES = [
@@ -263,18 +268,22 @@ def test_kernel_vs_interpreted_throughput(report):
 
         sampler = kernel_engine.sampler
         no_probe = np.empty(0, dtype=np.int64)
-        (numpy_block, _), numpy_draw_ms = _draw_ms(
-            lambda: sampler._draw_block_numpy(0, NUM_SAMPLES, no_probe)
-        )
-        (native_block, _), native_draw_ms = _draw_ms(
-            lambda: sampler._draw_block_native(
-                kernels.load_kernel(), 0, NUM_SAMPLES, no_probe
+        draw_ms = {}
+        for worlds, label in ((NUM_SAMPLES, ""), (25, "25"), (10, "10")):
+            worlds = min(worlds, NUM_SAMPLES)
+            repeats = 5 if worlds == NUM_SAMPLES else 21
+            (numpy_block, _), draw_ms[f"numpy_draw{label}_ms"] = _draw_ms(
+                lambda: sampler._draw_block_numpy(0, worlds, no_probe), repeats
             )
-        )
-        assert np.array_equal(native_block.targets, numpy_block.targets)
-        assert np.array_equal(native_block.offsets, numpy_block.offsets)
+            native_block, draw_ms[f"native_draw{label}_ms"] = _draw_ms(
+                lambda: sampler.draw_block_private(0, worlds), repeats
+            )
+            assert np.array_equal(native_block.targets, numpy_block.targets)
+            assert np.array_equal(native_block.offsets, numpy_block.offsets)
 
-        application = compiled.apply_events(_event_batch(scenario.graph, BENCH_SEED))
+        application = compute_application(
+            compiled, _event_batch(scenario.graph, BENCH_SEED)
+        )
         evolved = sampler.rekey(application.compiled, application.num_new_draws)
         positions, _ = dirty_probe(application)
         [(_, _, resident)] = kernel_engine.world_blocks()
@@ -282,8 +291,8 @@ def test_kernel_vs_interpreted_throughput(report):
             lambda: evolved.draw_block_private(0, NUM_SAMPLES, probe=positions)
         )
         (carried, evolve_draws), evolve_ms = _draw_ms(
-            lambda: evolved.evolve_block(
-                kernels.load_kernel(), resident, application, positions
+            lambda: evolved.draw_block_private(
+                0, NUM_SAMPLES, probe=positions, old=(resident, application)
             )
         )
         assert np.array_equal(carried.targets, redrawn.targets)
@@ -300,8 +309,7 @@ def test_kernel_vs_interpreted_throughput(report):
             "interpreted_snapshot_ms": round(interpreted_snapshot_ms, 3),
             "kernel_snapshot_ms": round(kernel_snapshot_ms, 3),
             "identical_snapshots": True,
-            "numpy_draw_ms": round(numpy_draw_ms, 3),
-            "native_draw_ms": round(native_draw_ms, 3),
+            **{key: round(ms, 3) for key, ms in draw_ms.items()},
             "identical_draws": True,
             "event_rebuilt_rows": len(application.rebuilt),
             "event_redraw_ms": round(redraw_ms, 3),

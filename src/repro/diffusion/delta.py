@@ -44,10 +44,11 @@ One owner of the snapshot
 -------------------------
 :class:`DeltaCascadeEngine` is the only code that reads or writes its
 snapshot state.  The base deployment is recorded in one place
-(``_record_base``), and every recorded world — its activation queue, its
-coupon-limited list and its entries in both node→world indexes — is replaced
-through one primitive (``_replace_world``), whether a coupon splice, a seed
-splice or a graph-event reconcile moves it.
+(``_record_base``).  A snapshot and a graph-event reconcile record every
+world — its activation queue, its coupon-limited list and its entries in
+both node→world indexes — in one ascending pass (``_install``); a coupon
+splice or a seed splice replaces single worlds through one primitive
+(``_replace_world``).
 """
 
 from __future__ import annotations
@@ -196,38 +197,15 @@ class DeltaCascadeEngine:
         """
         engine = self.engine
         self._record_base(seeds, allocation)
-
-        queues: List[List[int]] = []
-        limited_lists: List[List[int]] = []
-        active_worlds: Dict[int, List[int]] = {}
-        limited_worlds: Dict[int, List[int]] = {}
-        flat: List[int] = []
         if self._base_seed_indices:
-            instrumented = engine.cascade_worlds_instrumented(
+            worlds = engine.cascade_worlds_instrumented(
                 range(engine.num_worlds), self._base_seed_indices, self._base_coupons
             )
-            for world_index, (queue, limited) in enumerate(instrumented):
-                queues.append(queue)
-                limited_lists.append(limited)
-                flat.extend(queue)
-                for node_index in queue:
-                    active_worlds.setdefault(node_index, []).append(world_index)
-                for node_index in limited:
-                    limited_worlds.setdefault(node_index, []).append(world_index)
         else:
-            queues = [[] for _ in range(engine.num_worlds)]
-            limited_lists = [[] for _ in range(engine.num_worlds)]
-
-        counts = _bincount(flat, engine.compiled.num_nodes)
-        benefit = engine.benefit_of(counts) if self._base_seed_indices else 0.0
-        self._base_queues = queues
-        self._base_limited = limited_lists
-        self._base_counts = counts
-        self.base_benefit = benefit
-        self._active_worlds = active_worlds
-        self._limited_worlds = limited_worlds
+            worlds = (([], []) for _ in range(engine.num_worlds))
+        self._install(worlds)
         self.snapshot_passes += 1
-        return counts, benefit
+        return self._base_counts, self.base_benefit
 
     # ------------------------------------------------------------------
     # delta queries
@@ -580,11 +558,12 @@ class DeltaCascadeEngine:
         (:meth:`CompiledCascadeEngine.apply_events`); ``dirty_mask`` flags
         the worlds whose live-edge draws touch a changed edge (see
         :mod:`repro.diffusion.reconcile` for why no other world can change).
-        Only those are re-simulated — the clean worlds' recorded queues,
-        limited lists and per-node world indices are carried over
-        (index-remapped when nodes were retired) by pure bookkeeping.  The
-        resulting snapshot state is bit-identical to :meth:`snapshot` on the
-        new graph from scratch.
+        Only those are re-simulated; the clean worlds' recorded queues and
+        limited lists are carried over (index-remapped when nodes were
+        retired), and one ascending pass rebuilds both node→world indexes,
+        the counts and the benefit, as :meth:`snapshot` does.  The resulting
+        snapshot state is bit-identical to :meth:`snapshot` on the new graph
+        from scratch.
 
         Returns ``(base_benefit, reconciled)``.  ``reconciled`` is ``False``
         when the deployment does not survive the remap cleanly (e.g. a
@@ -595,7 +574,6 @@ class DeltaCascadeEngine:
         """
         engine = self.engine
         compiled = engine.compiled
-        num_nodes = compiled.num_nodes
         remap = application.remap
         self.refuse_retired_base(application.retired)
 
@@ -610,88 +588,44 @@ class DeltaCascadeEngine:
             return benefit, False
 
         dirty = np.flatnonzero(np.asarray(dirty_mask, dtype=bool)).tolist()
-        counts = self._base_counts - _bincount(
-            [node for world in dirty for node in self._base_queues[world]],
-            application.old_num_nodes,
-        )
-        if application.identity_remap:
-            # No node was retired, so indices are unchanged (added nodes
-            # append): each dirty world is replaced once below, by an
-            # old→new difference.
-            counts = np.concatenate(
-                [counts, np.zeros(num_nodes - counts.size, dtype=np.int64)]
-            )
-        else:
-            counts = self._remap_clean_worlds(application, dirty, counts)
+        old_queues, old_limited = self._base_queues, self._base_limited
+        # Clean worlds keep their queues and limited lists, through the remap
+        # when nodes were retired.  A retired node can only ever be active
+        # (or limited) in dirty worlds: activation needs a live in-edge, and
+        # a live dropped edge marks the world dirty.
+        translate = remap.tolist() if application.retired else None
+
+        def carried(world_index: int) -> Tuple[List[int], List[int]]:
+            queue, limited = old_queues[world_index], old_limited[world_index]
+            if translate is None:
+                return queue, limited
+            queue = [translate[node_index] for node_index in queue]
+            if min(queue, default=0) < 0:
+                raise EstimationError(
+                    "snapshot splice inconsistency: a retired node is still "
+                    "active in a clean world"
+                )
+            return queue, [translate[node_index] for node_index in limited]
 
         # Re-resolve the identifier-keyed deployment on the evolved graph —
         # exactly what a cold snapshot does (including coupon holders that
         # only now resolve: they are never active in a clean world, so only
-        # the dirty re-simulations below can see them).
+        # the dirty re-simulations can see them).
         self._record_base(self._base_seeds, self._base_alloc)
-        added: List[int] = []
-        if self._base_seed_indices and dirty:
-            instrumented = engine.cascade_worlds_instrumented(
-                dirty, self._base_seed_indices, self._base_coupons
-            )
-            for world_index, (queue, limited) in zip(dirty, instrumented):
-                added.extend(queue)
-                self._replace_world(world_index, queue, limited)
-
-        self._base_counts = counts + _bincount(added, num_nodes)
-        self.base_benefit = (
-            engine.benefit_of(self._base_counts) if self._base_seed_indices else 0.0
+        seeds = self._base_seed_indices
+        resimulated = iter(
+            engine.cascade_worlds_instrumented(dirty, seeds, self._base_coupons)
+            if seeds
+            else ()
+        )
+        fresh = set(dirty) if seeds else set()
+        self._install(
+            next(resimulated) if world_index in fresh else carried(world_index)
+            for world_index in range(engine.num_worlds)
         )
         self.reconcile_passes += 1
         self.reconciled_worlds += len(dirty)
         return self.base_benefit, True
-
-    def _remap_clean_worlds(
-        self, application: EventApplication, dirty: List[int], counts: np.ndarray
-    ) -> np.ndarray:
-        """Un-record ``dirty`` and move every clean world into the new index space.
-
-        ``counts`` already excludes the dirty worlds; returns it remapped.  A
-        retired node can only ever be active (or limited) in dirty worlds —
-        activation needs a live in-edge, and a live dropped edge marks the
-        world dirty — so once they are un-recorded nothing may reference a
-        retired index.
-        """
-        for world_index in dirty:
-            self._replace_world(world_index, [], [])
-        if counts[list(application.retired)].any():
-            raise EstimationError(
-                "snapshot splice inconsistency: a retired node is still "
-                "counted in a clean world"
-            )
-        remap = application.remap
-        translate = remap.tolist()
-        for worlds_by_node in (self._active_worlds, self._limited_worlds):
-            if any(translate[node_index] < 0 for node_index in worlds_by_node):
-                raise EstimationError(
-                    "snapshot splice inconsistency: a retired node still "
-                    "indexes a clean world"
-                )
-        self._active_worlds = {
-            translate[node_index]: worlds
-            for node_index, worlds in self._active_worlds.items()
-        }
-        self._limited_worlds = {
-            translate[node_index]: worlds
-            for node_index, worlds in self._limited_worlds.items()
-        }
-        self._base_queues = [
-            [translate[node_index] for node_index in queue]
-            for queue in self._base_queues
-        ]
-        self._base_limited = [
-            [translate[node_index] for node_index in limited]
-            for limited in self._base_limited
-        ]
-        remapped = np.zeros(self.engine.compiled.num_nodes, dtype=np.int64)
-        survivors = np.flatnonzero(remap >= 0)
-        remapped[remap[survivors]] = counts[survivors]
-        return remapped
 
     # ------------------------------------------------------------------
     # internals
@@ -724,6 +658,36 @@ class DeltaCascadeEngine:
             if position is not None:
                 coupons[position] = count
         self._base_coupons = coupons
+
+    def _install(self, worlds: Iterable[Tuple[List[int], List[int]]]) -> None:
+        """Record every world's ``(queue, limited)``, in world order.
+
+        Builds both node→world indexes, the counts and the benefit in one
+        ascending pass: the state a snapshot and a reconcile leave.  The
+        lists are kept, not copied.
+        """
+        queues: List[List[int]] = []
+        limited_lists: List[List[int]] = []
+        active_worlds: Dict[int, List[int]] = {}
+        limited_worlds: Dict[int, List[int]] = {}
+        flat: List[int] = []
+        for world_index, (queue, limited) in enumerate(worlds):
+            queues.append(queue)
+            limited_lists.append(limited)
+            flat.extend(queue)
+            for node_index in queue:
+                active_worlds.setdefault(node_index, []).append(world_index)
+            for node_index in limited:
+                limited_worlds.setdefault(node_index, []).append(world_index)
+        engine = self.engine
+        self._base_queues = queues
+        self._base_limited = limited_lists
+        self._active_worlds = active_worlds
+        self._limited_worlds = limited_worlds
+        self._base_counts = _bincount(flat, engine.compiled.num_nodes)
+        self.base_benefit = (
+            engine.benefit_of(self._base_counts) if self._base_seed_indices else 0.0
+        )
 
     def _replace_world(
         self, world_index: int, queue: Sequence[int], limited: Sequence[int]

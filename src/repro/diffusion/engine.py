@@ -177,12 +177,14 @@ class WorldSampler:
     outputs; MT19937 and SFC64, which have none), so every bit generator
     reproduces the sequential stream bit for bit.
 
-    Blocks are drawn by the native kernel's draw entry
+    A PCG64 sampler's blocks (every int or ``None`` seed) are drawn by the
+    native kernel's jump-ahead draw
     (:meth:`~repro.diffusion.kernels.CascadeKernel.draw_worlds`) whenever it
-    loads, and otherwise by :meth:`_draw_block_numpy`, its oracle; the two
-    consume the same doubles and give identical arrays.  Across an event
-    batch, a block of PCG64 worlds can instead be evolved from the old one
-    (:meth:`evolve_block`), which gives the same arrays again.
+    loads (:meth:`jump_ahead_kernel`); other bit generators and runs without
+    the kernel draw with :meth:`_draw_block_numpy`, its oracle.  The two give
+    identical arrays.  Across an event batch the native draw can carry the
+    rows the batch copied over from the pre-batch block instead of scanning
+    them (``old`` of :meth:`draw_block`), which gives the same arrays again.
 
     The sampler is picklable (frozen state + the compiled graph), which is
     what lets :mod:`repro.diffusion.parallel` ship it to worker processes
@@ -311,8 +313,28 @@ class WorldSampler:
         clone.layers = self.layers
         return clone
 
+    def jump_ahead_kernel(self):
+        """The native kernel when it draws this sampler's blocks, else ``None``.
+
+        Its world draw reads PCG64 streams by jump-ahead: it needs a library
+        built with 128-bit integers and a PCG64 sampler.
+        """
+        kernel = _kernels.load_kernel()
+        if (
+            kernel is None
+            or not kernel.pcg64_jump_ahead
+            or self.bit_generator_class is not np.random.PCG64
+        ):
+            return None
+        return kernel
+
     def draw_block(
-        self, start: int, count: int, *, probe: Optional[np.ndarray] = None
+        self,
+        start: int,
+        count: int,
+        *,
+        probe: Optional[np.ndarray] = None,
+        old: Optional[Tuple[FlatWorldBlock, object]] = None,
     ) -> Union[FlatWorldBlock, Tuple[FlatWorldBlock, np.ndarray]]:
         """Worlds ``start .. start+count-1`` as one flat block.
 
@@ -326,98 +348,67 @@ class WorldSampler:
         when a store is attached, and returned as ``(block, draws)``:
         ``draws[w, i]`` is world ``start + w``'s draw at ``probe[i]``, read
         in the same pass over the stream.  This is how an event batch finds
-        its dirty worlds (:meth:`CompiledCascadeEngine.apply_events`).
+        its dirty worlds (:meth:`CompiledCascadeEngine.apply_events`), and
+        there ``old`` may pass the pre-batch sampler's block of the same
+        worlds with the batch's
+        :class:`~repro.graph.events.EventApplication`, as
+        :meth:`draw_block_private` takes it.
         """
         store = self.store
-        if probe is not None:
-            block, draws = self.draw_block_private(start, count, probe=probe)
-            if store is not None:
-                block = store.publish(start, count, block)
-            return block, draws
-        if store is None:
-            return self.draw_block_private(start, count)
-        return store.block_for(self, start, count)
+        if probe is None:
+            if store is None:
+                return self.draw_block_private(start, count)
+            return store.block_for(self, start, count)
+        block, draws = self.draw_block_private(start, count, probe=probe, old=old)
+        if store is not None:
+            block = store.publish(start, count, block)
+        return block, draws
 
     def draw_block_private(
-        self, start: int, count: int, *, probe: Optional[np.ndarray] = None
+        self,
+        start: int,
+        count: int,
+        *,
+        probe: Optional[np.ndarray] = None,
+        old: Optional[Tuple[FlatWorldBlock, object]] = None,
     ) -> Union[FlatWorldBlock, Tuple[FlatWorldBlock, np.ndarray]]:
         """Materialise a block into process-private arrays (the raw draw).
 
-        One call of the native draw entry when the kernel loads, the numpy
-        loop otherwise.  Returns the block, or ``(block, draws)`` with a
-        ``probe``, as :meth:`draw_block` does.
+        One call of the native draw when :meth:`jump_ahead_kernel` has it,
+        the numpy loop otherwise.  Returns the block, or ``(block, draws)``
+        with a ``probe``, as :meth:`draw_block` does.  ``old`` is ``(block,
+        application)``: the pre-batch sampler's block of the same worlds and
+        the event batch that made ``self`` (:meth:`rekey`).  The native draw
+        then keeps each world's live targets, remapped, of the rows the
+        batch copied wholesale (their slots keep their probabilities and
+        draw positions, so their draws are unchanged) and scans only the
+        rebuilt rows and the new nodes' rows; the numpy loop draws every
+        row.  The arrays are the same either way.
         """
         positions = np.asarray(() if probe is None else probe, dtype=np.int64)
-        kernel = _kernels.load_kernel()
+        kernel = self.jump_ahead_kernel()
         if kernel is None:
             block, draws = self._draw_block_numpy(start, count, positions)
-        else:
-            block, draws = self._draw_block_native(kernel, start, count, positions)
-        return block if probe is None else (block, draws)
-
-    def _draw_block_native(
-        self, kernel, start: int, count: int, probe: np.ndarray
-    ) -> Tuple[FlatWorldBlock, np.ndarray]:
-        """:meth:`_draw_block_numpy`'s block and probe in native calls."""
+            return block if probe is None else (block, draws)
         compiled = self.compiled
-        generators = [
-            self._layer_generator(state, width, start) for state, width in self.layers
-        ]
-        widths = [width for _, width in self.layers]
-        num_slots = int(compiled.indptr[-1])
-        offsets = np.empty((count, compiled.num_nodes + 1), dtype=np.int64)
-        probed = np.empty((count, probe.shape[0]), dtype=np.float64)
-        # The expected live edges of the block plus one world's worth of
-        # slack; a call stops before a world that might not fit, the buffer
-        # grows and the next call resumes there.
-        capacity = int(count * float(compiled.probs.sum())) + num_slots
-        targets = np.empty(capacity, dtype=np.int32)
-        done = 0
-        while True:
-            done += kernel.draw_worlds(
-                compiled.indptr, compiled.indices, compiled.edge_pos,
-                compiled.probs, compiled.num_draws, generators, widths, done,
-                targets, offsets, probe, probed,
+        carried = {}
+        if old is not None:
+            old_block, application = old
+            remap = application.remap
+            survivors = np.flatnonzero(remap >= 0)
+            source = np.full(compiled.num_nodes, -1, dtype=np.int64)
+            source[remap[survivors]] = survivors
+            source[list(application.rebuilt)] = -1
+            carried = dict(
+                source=source, remap=remap, old_targets=old_block.targets,
+                old_offsets=old_block.offsets,
             )
-            if done == count:
-                break
-            used = int(offsets[done - 1, -1]) if done else 0
-            grown = np.empty(max(2 * targets.shape[0], used + num_slots), np.int32)
-            grown[:used] = targets[:used]
-            targets = grown
-        used = int(offsets[-1, -1]) if count else 0
-        return FlatWorldBlock(targets[:used].copy(), offsets, count), probed
-
-    def evolve_block(
-        self, kernel, block: FlatWorldBlock, application, probe: np.ndarray
-    ) -> Tuple[FlatWorldBlock, np.ndarray]:
-        """The resident block of every world, carried across an event batch.
-
-        ``self`` is the sampler :meth:`rekey` returned for ``application``
-        (PCG64 layers only), ``block`` the pre-batch sampler's block of every
-        world.  A row the batch copied wholesale keeps each world's live
-        targets, remapped: its slots keep their probabilities and draw
-        positions, so their draws are unchanged.  Only the rebuilt rows and
-        the new nodes' rows are drawn, with the ``probe`` positions, by the
-        kernel's PCG64 jump-ahead
-        (:meth:`~repro.diffusion.kernels.CascadeKernel.evolve_worlds`).  The
-        block and draws equal what :meth:`draw_block` with ``probe`` would
-        give, and the block is published when a store is attached, as there.
-        """
-        compiled = self.compiled
-        remap = application.remap
-        survivors = np.flatnonzero(remap >= 0)
-        source = np.full(compiled.num_nodes, -1, dtype=np.int64)
-        source[remap[survivors]] = survivors
-        source[list(application.rebuilt)] = -1
-        targets, offsets, draws = kernel.evolve_worlds(
+        targets, offsets, draws = kernel.draw_worlds(
             compiled.indptr, compiled.indices, compiled.edge_pos, compiled.probs,
-            self.layers, source, remap, block.targets, block.offsets, probe,
+            self.layers, start, count, positions, **carried,
         )
-        evolved = FlatWorldBlock(targets, offsets, block.count)
-        if self.store is not None:
-            evolved = self.store.publish(0, block.count, evolved)
-        return evolved, draws
+        block = FlatWorldBlock(targets, offsets, count)
+        return block if probe is None else (block, draws)
 
     def _draw_block_numpy(
         self, start: int, count: int, probe: np.ndarray
@@ -510,26 +501,18 @@ class BlockCache:
             return block
         return self._keep(start, self.sampler.draw_block(start, count))
 
-    def redraw(self, start: int, count: int, probe: np.ndarray) -> np.ndarray:
+    def draw(
+        self, start: int, count: int, probe: np.ndarray, old=None
+    ) -> np.ndarray:
         """Draw a block into this (fresh) cache; returns its draws at ``probe``.
 
-        The block is published when the sampler has a store attached, as
-        every probed draw is (:meth:`WorldSampler.draw_block`).
+        ``old`` is the pre-batch block of the same worlds with its batch, as
+        :meth:`WorldSampler.draw_block_private` takes it.  The block is
+        published when the sampler has a store attached, as every probed
+        draw is (:meth:`WorldSampler.draw_block`).
         """
-        block, draws = self.sampler.draw_block(start, count, probe=probe)
+        block, draws = self.sampler.draw_block(start, count, probe=probe, old=old)
         self._keep(start, block)
-        return draws
-
-    def evolve(
-        self, kernel, block: FlatWorldBlock, application, probe: np.ndarray
-    ) -> np.ndarray:
-        """Evolve a one-block grid's old ``block`` into this (fresh) cache.
-
-        Returns its draws at ``probe``, as :meth:`redraw` does
-        (:meth:`WorldSampler.evolve_block`).
-        """
-        block, draws = self.sampler.evolve_block(kernel, block, application, probe)
-        self._keep(0, block)
         return draws
 
     def release(self) -> None:
@@ -1188,22 +1171,18 @@ class CompiledCascadeEngine:
         touch its live set (the rule of :mod:`repro.diffusion.reconcile`).
         This is the one place the evolved stream is read, once per world,
         and the changed positions' draws come out of that same pass.  A
-        one-block grid of PCG64 worlds with the native kernel evolves its
-        block: the old block's rows the batch copied are kept and only the
-        rebuilt rows are drawn (:meth:`WorldSampler.evolve_block`).  Every
-        other grid redraws each block into the new block cache.  Either way
-        the blocks are published when a store is attached, so pool workers
-        attach instead of drawing.
+        one-block grid whose sampler the native draw serves
+        (:meth:`WorldSampler.jump_ahead_kernel`) evolves its block: the old
+        block's rows the batch copied are kept and only the rebuilt rows are
+        drawn.  Every other grid draws each block afresh into the new block
+        cache.  Either way the blocks are published when a store is
+        attached, so pool workers attach instead of drawing.
         """
         compiled = application.compiled
         old_compiled = self.compiled
-        kernel = _kernels.load_kernel()
         old_block = (
             self._block(0)
-            if not self.is_sharded
-            and kernel is not None
-            and kernel.pcg64_jump_ahead
-            and self.sampler.bit_generator_class is np.random.PCG64
+            if not self.is_sharded and self.sampler.jump_ahead_kernel() is not None
             else None
         )
 
@@ -1245,12 +1224,14 @@ class CompiledCascadeEngine:
         cache = self._block_cache = BlockCache(sampler, _MAX_CACHED_BLOCKS)
         positions, thresholds = dirty_probe(application)
         if old_block is not None:
-            draws = cache.evolve(kernel, old_block, application, positions)
+            draws = cache.draw(
+                0, self.num_worlds, positions, old=(old_block, application)
+            )
         else:
             # Last block first, so the LRU ends up holding the first blocks:
             # the ones the dirty worlds' ascending re-simulation reads first.
             draws = np.concatenate([
-                cache.redraw(start, count, positions)
+                cache.draw(start, count, positions)
                 for start, count in reversed(self.bounds)
             ][::-1])
         self._reset_scratch()

@@ -81,45 +81,35 @@ buffer; as a set has at most ``num_nodes`` members and an unstarted set has
 drawn nothing, the entry stops before a set that might not fit and returns
 how many it finished, and the caller grows the buffer and resumes.
 
-A fourth entry, :meth:`CascadeKernel.draw_worlds`, draws a run of
-consecutive live-edge worlds from a
-:class:`~repro.diffusion.engine.WorldSampler`'s layered streams, which is
-what every block of worlds costs to materialise.  The caller positions one
-generator per stream layer at the run's first world
-(``WorldSampler._layer_generator``) and passes their ``bitgen_t`` pointers.
-Per world, the entry takes each layer's ``width`` doubles from that layer's
-generator with ``next_double``, in layer order, into one scratch row indexed
-by draw position; it copies the draws at the caller's probe positions into a
-``(count, len(probe))`` array; then it scans the CSR (``indptr``,
-``indices``, ``edge_pos``, ``probs``) node by node and writes the int32
-targets of the slots whose draw lies below their probability, with the
-world's row of absolute int64 offsets.  ``Generator.random(width)`` fills
-its output by calling the same ``next_double`` once per element, so the
-draws, the block and where each generator is left are bit for bit those of
-the numpy loop (``WorldSampler._draw_block_numpy``), for any bit generator;
-the entry holds every layer generator's ``bit_generator.lock`` while it
-draws.  A world has at most ``indptr[-1]`` live targets, so, as the other
-entries do, it stops before a world that might not fit and returns how many
-worlds it finished; the caller grows the targets buffer and resumes.
-
-Two more entries read PCG64 streams (numpy's default bit generator) without
-drawing them.  :meth:`CascadeKernel.pcg64_doubles` returns any world's
-double at any offset of one layer: it is the output of step ``w × width +
-j + 1`` from the layer's frozen state, reached by an LCG jump (numpy's
-``pcg_advance_lcg_128``), and a world's width of steps is one affine map, so
-each further world's double costs one 128-bit multiply-add.
-:meth:`CascadeKernel.evolve_worlds` carries a resident block across an event
-batch: per world, the rows the batch copied take the old block's live
-targets through the node remap, and the rebuilt rows are scanned as the draw
-entry scans them, each coin read by that jump-ahead; the draws at the
-batch's probe positions come out of the same call.  Both entries need
-128-bit integers (``__SIZEOF_INT128__``); :attr:`CascadeKernel.pcg64_jump_ahead`
-says whether the library has them.
+A fourth entry, :meth:`CascadeKernel.draw_worlds`, materialises a block of
+live-edge worlds of a PCG64 :class:`~repro.diffusion.engine.WorldSampler`,
+which is what every block of worlds costs: the resident block at
+construction, each block of a sharded grid or a pool worker, and the block
+carried across an event batch.  It reads the sampler's layered streams
+without drawing them.  World ``w``'s double at offset ``j`` of a layer is the
+output of step ``w × width + j + 1`` from the layer's frozen state, so each
+call jumps every layer to its first world by numpy's LCG jump
+(``pcg_advance_lcg_128``), walks the layer's positions with one LCG step
+each, and moves each position's coin on to the next world with one 128-bit
+multiply-add.  Per world it scans the CSR (``indptr``, ``indices``,
+``edge_pos``, ``probs``) node by node, writing the int32 targets of the
+slots whose double lies below their probability with the world's row of
+absolute int64 offsets, and reads the doubles at the caller's probe
+positions; given the pre-batch block of the same worlds, the rows an event
+batch copied take the old rows' live targets through the node remap instead
+of a scan.  The block and the probed doubles are bit for bit those of the
+numpy loop (``WorldSampler._draw_block_numpy``).  A world holds at most the
+scanned slots plus its old row span, so the entry stops before a world that
+might not fit and the wrapper grows the buffer and resumes.  The entry needs
+128-bit integers (``__SIZEOF_INT128__``; :attr:`CascadeKernel.pcg64_jump_ahead`
+says whether the library has it).  Other bit generators (MT19937, Philox,
+SFC64, PCG64DXSM, which only a caller-owned ``Generator`` brings), compilers
+without 128-bit integers and ``REPRO_NO_NATIVE_KERNEL`` runs draw with the
+numpy loop.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import logging
@@ -333,72 +323,18 @@ int64_t repro_sample_rr_sets(
     return num_sets - first;
 }
 
-/* Worlds first .. count - 1 of a block, line for line the numpy loop of
- * repro/diffusion/engine.py (WorldSampler._draw_block_numpy): per world,
- * each layer's width doubles from that layer's generator, in layer order;
- * the draws at the probe positions; then, per node in CSR order, the slots
- * whose draw lies below their probability. */
-int64_t repro_draw_worlds(
-    const int64_t *indptr,       /* num_nodes + 1, from 0, non-decreasing */
-    const int64_t *indices,      /* CSR slot -> target node */
-    const int64_t *edge_pos,     /* CSR slot -> draw position */
-    const double *probs,         /* CSR slot -> probability */
-    int64_t num_nodes,
-    repro_bitgen_t *const *bitgens, /* one per layer, positioned at world first */
-    const int64_t *widths,       /* one per layer: draws per world */
-    int64_t num_layers,
-    double *draws,               /* scratch: one world's draws, sum(widths) */
-    const int64_t *probe,        /* draw positions to copy out */
-    int64_t num_probe,
-    double *probed,              /* count x num_probe */
-    int64_t first,
-    int64_t count,
-    int32_t *targets,            /* every world's live targets, back to back */
-    int64_t capacity,            /* entries of targets */
-    int64_t *offsets)            /* count x (num_nodes + 1), absolute */
-{
-    const int64_t stride = num_nodes + 1;
-    const int64_t num_slots = indptr[num_nodes];
-    int64_t tail = first > 0 ? offsets[first * stride - 1] : 0;
-    for (int64_t w = first; w < count; ++w) {
-        /* A world has at most num_slots live targets; stop before drawing. */
-        if (tail + num_slots > capacity) return w - first;
-        double *draw = draws;
-        for (int64_t k = 0; k < num_layers; ++k) {
-            repro_bitgen_t *bitgen = bitgens[k];
-            for (int64_t i = 0; i < widths[k]; ++i) {
-                *draw++ = bitgen->next_double(bitgen->state);
-            }
-        }
-        double *probe_row = probed + w * num_probe;
-        for (int64_t j = 0; j < num_probe; ++j) probe_row[j] = draws[probe[j]];
-        int64_t *row = offsets + w * stride;
-        for (int64_t u = 0; u < num_nodes; ++u) {
-            row[u] = tail;
-            const int64_t high = indptr[u + 1];
-            for (int64_t slot = indptr[u]; slot < high; ++slot) {
-                /* Branch-free: write always, keep the write when live.  The
-                 * capacity check above keeps every write in bounds. */
-                targets[tail] = (int32_t)indices[slot];
-                tail += draws[edge_pos[slot]] < probs[slot];
-            }
-        }
-        row[num_nodes] = tail;
-    }
-    return count - first;
-}
-
 #ifdef __SIZEOF_INT128__
 #include <stdlib.h>
 
 /* numpy's PCG64 steps a 128-bit LCG, s -> M s + inc, and outputs XSL-RR of
- * the new state; next_double turns an output x into (x >> 11) * 2^-53.  A
- * coin is one draw position of one world, read without drawing the stream
- * before it: its state is reached by jump-ahead, and one world's width of
- * steps is one affine map, so the next world's coin is one multiply-add. */
+ * the new state; next_double turns an output x into (x >> 11) * 2^-53.  So
+ * world w's double at offset j of a layer of width doubles per world is the
+ * output of step w * width + j + 1 from the layer's frozen state.  A coin is
+ * that state for one draw position, read without drawing the stream before
+ * it, and one world's width of steps is one affine map, so the next world's
+ * coin is one multiply-add. */
 typedef unsigned __int128 repro_u128;
 typedef struct { repro_u128 mult, plus; } repro_lcg_t;   /* s -> mult s + plus */
-typedef struct { repro_u128 state; const repro_lcg_t *step; } repro_coin_t;
 
 static const repro_u128 REPRO_PCG64_MULT =
     ((repro_u128)2549297995355413924ULL << 64) | 4865540595714422341ULL;
@@ -425,155 +361,112 @@ static repro_lcg_t repro_pcg64_jump(repro_u128 inc, uint64_t steps)
     return acc;
 }
 
-static inline double repro_pcg64_double(repro_u128 state)
+/* The coin's double, then the coin moved on to the next world. */
+static inline double repro_coin_flip(repro_u128 *coin, const repro_lcg_t *step)
 {
+    const repro_u128 state = *coin;
     const uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
     const unsigned rot = (unsigned)(state >> 122);
+    *coin = step->mult * state + step->plus;
     /* Below 2^53, so the signed conversion is exact (and faster). */
     return (double)(int64_t)(((x >> rot) | (x << ((-rot) & 63))) >> 11)
         * (1.0 / 9007199254740992.0);
 }
 
-/* The coin at offset local of world first, in a layer of width doubles per
- * world whose frozen (state, inc) are layer[0..1], layer[2..3], and whose
- * world's width of steps is step: the output of step first * width +
- * local + 1. */
-static void repro_coin_init(
-    repro_coin_t *coin, const uint64_t *layer, const repro_lcg_t *step,
-    int64_t width, int64_t first, int64_t local)
-{
-    const repro_lcg_t to = repro_pcg64_jump(
-        repro_word128(layer + 2),
-        (uint64_t)first * (uint64_t)width + (uint64_t)local + 1);
-    coin->state = to.mult * repro_word128(layer) + to.plus;
-    coin->step = step;
-}
-
-/* The layer holding draw position p: the last whose start is <= p. */
-static int64_t repro_layer_of(const int64_t *starts, int64_t num_layers, int64_t p)
-{
-    int64_t low = 0, high = num_layers - 1;
-    while (low < high) {
-        const int64_t mid = high - (high - low) / 2;
-        if (starts[mid] <= p) low = mid; else high = mid - 1;
-    }
-    return low;
-}
-
-/* The coin's double, then the coin moved to the next world. */
-static inline double repro_coin_flip(repro_coin_t *coin)
-{
-    const double draw = repro_pcg64_double(coin->state);
-    coin->state = coin->step->mult * coin->state + coin->step->plus;
-    return draw;
-}
-
-/* out[i][k]: world first + i's double at offset local[k] of one layer. */
-int64_t repro_pcg64_doubles(
-    const uint64_t *layer,       /* state high, state low, inc high, inc low */
-    int64_t width,
-    const int64_t *local,        /* offsets in [0, width) */
-    int64_t num_local,
-    int64_t first,
-    int64_t count,
-    double *out)                 /* count x num_local */
-{
-    repro_coin_t *coins = malloc((size_t)(num_local ? num_local : 1) * sizeof *coins);
-    if (!coins) return -1;
-    const repro_lcg_t step = repro_pcg64_jump(repro_word128(layer + 2), (uint64_t)width);
-    for (int64_t k = 0; k < num_local; ++k)
-        repro_coin_init(coins + k, layer, &step, width, first, local[k]);
-    for (int64_t i = 0; i < count; ++i)
-        for (int64_t k = 0; k < num_local; ++k)
-            out[i * num_local + k] = repro_coin_flip(coins + k);
-    free(coins);
-    return count;
-}
-
-/* Carry a block of worlds 0 .. count - 1 across an event batch.  A row with
- * a source copies that old row's live targets in every world, through remap;
- * a row without one (rebuilt, or a new node's) is scanned as
- * repro_draw_worlds scans a row, each slot's draw read as a coin.  Then the
- * draws at the probe positions.  Every target written is a copied one or a
- * scanned slot's, so targets needs the old block's plus count x the scanned
- * slots.  Returns -2 if a copied target has no new node. */
-int64_t repro_evolve_worlds(
-    const int64_t *indptr,       /* the new CSR: num_nodes + 1 */
-    const int64_t *indices,
-    const int64_t *edge_pos,
-    const double *probs,
+/* Worlds first + done .. first + count - 1 of a PCG64 sampler, into rows
+ * done .. count - 1 of a block.  Per world, a row with a source copies that
+ * old row's live targets through remap (a run of rows copying consecutive
+ * old rows is one shifted span); every other row (all of them when source
+ * is NULL) is scanned in CSR order as the numpy loop of
+ * repro/diffusion/engine.py (WorldSampler._draw_block_numpy) scans it,
+ * writing the targets of the slots whose coin lies below their probability;
+ * then the doubles at the probe positions.  Each call jumps every layer to
+ * world first + done and walks its positions with one LCG step each, which
+ * gives every draw position its coin.  A scanned slot moves its position's
+ * coin on in place (a position belongs to at most one slot); the probes
+ * move copies.  A world holds at most the scanned slots plus its old row
+ * span of live targets, so the call stops before a world that might not fit
+ * and returns how many worlds it finished; -1 if it could not allocate its
+ * coins, -2 if a copied target has no new node. */
+int64_t repro_draw_worlds(
+    const int64_t *indptr,       /* num_nodes + 1, from 0, non-decreasing */
+    const int64_t *indices,      /* CSR slot -> target node */
+    const int64_t *edge_pos,     /* CSR slot -> draw position */
+    const double *probs,         /* CSR slot -> probability */
     int64_t num_nodes,
     const uint64_t *layers,      /* per layer: state high, low, inc high, low */
     const int64_t *widths,       /* per layer: draws per world */
     int64_t num_layers,
-    const int64_t *source,       /* per new row: its old row, or -1 */
-    const int64_t *remap,        /* old node -> new node */
+    const int64_t *source,       /* per row: its old row, or -1; or NULL */
+    const int64_t *remap,        /* old node -> new node, or -1 */
     const int32_t *old_targets,
     const int64_t *old_offsets,  /* count x (old_nodes + 1), absolute */
     int64_t old_nodes,
-    const int64_t *probe,        /* draw positions to copy out */
+    const int64_t *probe,        /* draw positions to read out */
     int64_t num_probe,
     double *probed,              /* count x num_probe */
+    int64_t first,               /* the block's first world */
+    int64_t done,                /* worlds of the block already drawn */
     int64_t count,
-    int32_t *targets,
+    int32_t *targets,            /* every world's live targets, back to back */
+    int64_t capacity,            /* entries of targets */
     int64_t *offsets)            /* count x (num_nodes + 1), absolute */
 {
-    int64_t num_coins = num_probe;
-    for (int64_t u = 0; u < num_nodes; ++u)
-        if (source[u] < 0) num_coins += indptr[u + 1] - indptr[u];
-    repro_coin_t *coins = malloc((size_t)(num_coins ? num_coins : 1) * sizeof *coins);
-    int64_t *starts = malloc((size_t)num_layers * sizeof *starts);
-    repro_lcg_t *steps = malloc((size_t)num_layers * sizeof *steps);
-    if (!coins || !starts || !steps) {
-        free(coins);
-        free(starts);
-        free(steps);
-        return -1;
-    }
+    int64_t num_draws = 0;
+    for (int64_t k = 0; k < num_layers; ++k) num_draws += widths[k];
+    repro_u128 *coins = malloc((size_t)(num_draws + num_probe + 1) * sizeof *coins);
+    int32_t *layer_at = malloc((size_t)(num_draws + 1) * sizeof *layer_at);
+    repro_lcg_t *steps = malloc((size_t)(num_layers + 1) * sizeof *steps);
+    int64_t status = -1;
+    if (!coins || !layer_at || !steps) goto cleanup;
     int64_t low = 0;
     for (int64_t k = 0; k < num_layers; ++k) {
-        starts[k] = low;
-        low += widths[k];
-        steps[k] = repro_pcg64_jump(repro_word128(layers + 4 * k + 2), (uint64_t)widths[k]);
-    }
-    /* The scanned slots' coins in scan order, then the probes'. */
-    repro_coin_t *coin = coins;
-    for (int64_t u = 0; u < num_nodes; ++u) {
-        if (source[u] >= 0) continue;
-        for (int64_t slot = indptr[u]; slot < indptr[u + 1]; ++slot) {
-            const int64_t k = repro_layer_of(starts, num_layers, edge_pos[slot]);
-            repro_coin_init(
-                coin++, layers + 4 * k, steps + k, widths[k], 0, edge_pos[slot] - starts[k]);
+        const uint64_t *layer = layers + 4 * k;
+        const repro_u128 inc = repro_word128(layer + 2);
+        const repro_lcg_t to = repro_pcg64_jump(
+            inc, (uint64_t)(first + done) * (uint64_t)widths[k]);
+        repro_u128 state = to.mult * repro_word128(layer) + to.plus;
+        steps[k] = repro_pcg64_jump(inc, (uint64_t)widths[k]);
+        for (int64_t j = low; j < low + widths[k]; ++j) {
+            state = REPRO_PCG64_MULT * state + inc;
+            coins[j] = state;
+            layer_at[j] = (int32_t)k;
         }
+        low += widths[k];
     }
-    for (int64_t j = 0; j < num_probe; ++j) {
-        const int64_t k = repro_layer_of(starts, num_layers, probe[j]);
-        repro_coin_init(coin++, layers + 4 * k, steps + k, widths[k], 0, probe[j] - starts[k]);
-    }
-    free(starts);
+    repro_u128 *probe_coins = coins + num_draws;
+    for (int64_t j = 0; j < num_probe; ++j) probe_coins[j] = coins[probe[j]];
+    int64_t scanned = 0;
+    for (int64_t u = 0; u < num_nodes; ++u)
+        if (!source || source[u] < 0) scanned += indptr[u + 1] - indptr[u];
 
     const int64_t stride = num_nodes + 1;
     const int64_t old_stride = old_nodes + 1;
-    int64_t tail = 0;
-    for (int64_t w = 0; w < count; ++w) {
-        const int64_t *old_row = old_offsets + w * old_stride;
+    int64_t tail = done > 0 ? offsets[done * stride - 1] : 0;
+    int64_t w = done;
+    for (; w < count; ++w) {
+        const int64_t *old_row = source ? old_offsets + w * old_stride : 0;
+        const int64_t copied = source ? old_row[old_nodes] - old_row[0] : 0;
+        if (tail + scanned + copied > capacity) break;
         int64_t *row = offsets + w * stride;
-        coin = coins;
         int64_t u = 0;
         while (u < num_nodes) {
-            const int64_t old = source[u];
+            const int64_t old = source ? source[u] : -1;
             if (old < 0) {
                 row[u] = tail;
                 const int64_t high = indptr[u + 1];
                 for (int64_t slot = indptr[u]; slot < high; ++slot) {
-                    /* Branch-free, as in repro_draw_worlds. */
+                    const int64_t pos = edge_pos[slot];
+                    /* One layer (every fresh sampler): one step, no lookup. */
+                    const repro_lcg_t *step = num_layers == 1 ? steps : steps + layer_at[pos];
+                    /* Branch-free: write always, keep the write when live.
+                     * The capacity check above keeps every write in bounds. */
                     targets[tail] = (int32_t)indices[slot];
-                    tail += repro_coin_flip(coin++) < probs[slot];
+                    tail += repro_coin_flip(coins + pos, step) < probs[slot];
                 }
                 ++u;
                 continue;
             }
-            /* A run of rows copying consecutive old rows: one shifted span. */
             int64_t end = u + 1;
             while (end < num_nodes && source[end] == old + (end - u)) ++end;
             const int64_t shift = tail - old_row[old];
@@ -582,9 +475,8 @@ int64_t repro_evolve_worlds(
             for (int64_t pos = old_row[old]; pos < high; ++pos) {
                 const int64_t target = remap[old_targets[pos]];
                 if (target < 0) {
-                    free(coins);
-                    free(steps);
-                    return -2;
+                    status = -2;
+                    goto cleanup;
                 }
                 targets[tail++] = (int32_t)target;
             }
@@ -592,11 +484,15 @@ int64_t repro_evolve_worlds(
         }
         row[num_nodes] = tail;
         double *probe_row = probed + w * num_probe;
-        for (int64_t j = 0; j < num_probe; ++j) probe_row[j] = repro_coin_flip(coin++);
+        for (int64_t j = 0; j < num_probe; ++j)
+            probe_row[j] = repro_coin_flip(probe_coins + j, steps + layer_at[probe[j]]);
     }
+    status = w - done;
+cleanup:
     free(coins);
+    free(layer_at);
     free(steps);
-    return count;
+    return status;
 }
 #endif
 """
@@ -700,36 +596,23 @@ class CascadeKernel:
             ptr, ptr, ptr, c_i64, ptr, c_i64, c_i64, ptr, ptr, ptr, c_i64, ptr,
         ]
         self._rr_raw.restype = c_i64
-        self._draw_raw = library.repro_draw_worlds
-        self._draw_raw.argtypes = [
-            ptr, ptr, ptr, ptr, c_i64, ptr, ptr, c_i64, ptr, ptr, c_i64, ptr,
-            c_i64, c_i64, ptr, c_i64, ptr,
-        ]
-        self._draw_raw.restype = c_i64
-        #: Whether the library has the PCG64 jump-ahead entries, which need a
-        #: compiler with 128-bit integers (:meth:`pcg64_doubles`,
-        #: :meth:`evolve_worlds`).
-        self.pcg64_jump_ahead = hasattr(library, "repro_evolve_worlds")
+        #: Whether the library has the world draw, which reads PCG64 streams
+        #: by jump-ahead and needs a compiler with 128-bit integers
+        #: (:meth:`draw_worlds`).
+        self.pcg64_jump_ahead = hasattr(library, "repro_draw_worlds")
         if self.pcg64_jump_ahead:
-            self._doubles_raw = library.repro_pcg64_doubles
-            self._doubles_raw.argtypes = [ptr, c_i64, ptr, c_i64, c_i64, c_i64, ptr]
-            self._doubles_raw.restype = c_i64
-            self._evolve_raw = library.repro_evolve_worlds
-            self._evolve_raw.argtypes = [
+            self._draw_raw = library.repro_draw_worlds
+            self._draw_raw.argtypes = [
                 ptr, ptr, ptr, ptr, c_i64, ptr, ptr, c_i64, ptr, ptr, ptr, ptr,
-                c_i64, ptr, c_i64, ptr, c_i64, ptr, ptr,
+                c_i64, ptr, c_i64, ptr, c_i64, c_i64, c_i64, ptr, c_i64, ptr,
             ]
-            self._evolve_raw.restype = c_i64
+            self._draw_raw.restype = c_i64
         self._block_at = _address_memo(i32, i64, i32, i64, i64, i32, i64)
         self._instrumented_at = _address_memo(
             i32, i64, i64, i32, i64, i64, i32, i32, i64
         )
         self._rr_at = _address_memo(i64, i64, np.float64, i64, i64, i64, i64)
         self._draw_at = _address_memo(
-            i64, i64, i64, np.float64, i64, np.float64, i32, i64
-        )
-        self._doubles_at = _address_memo(i64)
-        self._evolve_at = _address_memo(
             i64, i64, i64, np.float64, i64, i64, i32, i64, i64
         )
         self._warmed = False
@@ -857,167 +740,88 @@ class CascadeKernel:
         indices: np.ndarray,
         edge_pos: np.ndarray,
         probs: np.ndarray,
-        num_draws: int,
-        generators: Sequence[np.random.Generator],
-        widths: Sequence[int],
-        first: int,
-        targets: np.ndarray,
-        offsets: np.ndarray,
-        probe: np.ndarray,
-        probed: np.ndarray,
-    ) -> int:
-        """Draw worlds ``first, first + 1, ...`` of a block from layered streams.
-
-        World ``w`` takes ``widths[k]`` doubles from ``generators[k]`` for
-        every layer ``k`` in order (``num_draws`` in all), copies its draws
-        at the positions ``probe`` into ``probed[w]``, and writes its live
-        targets (the CSR slots whose draw at ``edge_pos`` lies below
-        ``probs``) to ``targets`` from where world ``w - 1`` ended, with its
-        absolute offset row in ``offsets[w]`` — what
-        :meth:`~repro.diffusion.engine.WorldSampler._draw_block_numpy` draws,
-        and where it leaves the generators.  Stops before a world that might
-        not fit in ``targets`` (it holds at most ``indptr[-1]`` live targets)
-        and returns how many worlds it finished.
-        """
-        if len(generators) != len(widths):
-            raise ValueError(
-                f"{len(generators)} generators for {len(widths)} stream layers"
-            )
-        widths_arr = np.asarray(widths, dtype=np.int64)
-        num_nodes = _check_stream(indptr, indices, edge_pos, probs, widths_arr, num_draws)
-        count = offsets.shape[0]
-        if (
-            offsets.shape != (count, num_nodes + 1)
-            or not 0 <= first <= count
-            or (first and not 0 <= offsets[first - 1, -1] <= targets.shape[0])
-        ):
-            raise ValueError(
-                f"offsets of shape {offsets.shape} for {num_nodes} nodes, "
-                f"resuming at world {first} within {targets.shape[0]} targets"
-            )
-        _check_probe(probe, probed, count, num_draws)
-        bitgens = np.array(
-            [g.bit_generator.ctypes.bit_generator.value for g in generators],
-            dtype=np.uintp,
-        )
-        draws = np.empty(num_draws, dtype=np.float64)
-        at = self._draw_at
-        # One acquire per bit generator: its lock is not reentrant, and one
-        # generator may feed several layers.
-        held = {id(g.bit_generator): g.bit_generator.lock for g in generators}
-        with contextlib.ExitStack() as locks:
-            for lock in held.values():
-                locks.enter_context(lock)
-            return self._draw_raw(
-                at(0, indptr), at(1, indices), at(2, edge_pos), at(3, probs),
-                num_nodes, bitgens.ctypes.data, widths_arr.ctypes.data,
-                widths_arr.shape[0], draws.ctypes.data, at(4, probe),
-                probe.shape[0], at(5, probed), first, count, at(6, targets),
-                targets.shape[0], at(7, offsets),
-            )
-
-    def pcg64_doubles(
-        self, state: dict, width: int, local: np.ndarray, first: int, count: int
-    ) -> np.ndarray:
-        """World ``first + i``'s double at offset ``local[k]`` of a PCG64 layer.
-
-        ``state`` is the layer's frozen ``bit_generator.state`` and ``width``
-        its doubles per world, so ``out[i, k]`` is the double
-        ``Generator.random`` draws at step ``(first + i) * width + local[k] +
-        1`` of that state, read by jump-ahead without drawing the rest.
-        """
-        if not (width >= 0 and first >= 0 and count >= 0):
-            raise ValueError(
-                f"{count} worlds from world {first} of a layer of width {width}"
-            )
-        if local.size and not 0 <= local.min() <= local.max() < width:
-            raise ValueError(f"local offsets outside a layer of width {width}")
-        words = _pcg64_words([state])
-        out = np.empty((count, local.shape[0]), dtype=np.float64)
-        if self._doubles_raw(
-            words.ctypes.data, width, self._doubles_at(0, local), local.shape[0],
-            first, count, out.ctypes.data,
-        ) < 0:
-            raise MemoryError("pcg64_doubles could not allocate its coins")
-        return out
-
-    def evolve_worlds(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        edge_pos: np.ndarray,
-        probs: np.ndarray,
         layers: Sequence[Tuple[dict, int]],
-        source: np.ndarray,
-        remap: np.ndarray,
-        old_targets: np.ndarray,
-        old_offsets: np.ndarray,
+        first: int,
+        count: int,
         probe: np.ndarray,
+        *,
+        source: Optional[np.ndarray] = None,
+        remap: Optional[np.ndarray] = None,
+        old_targets: Optional[np.ndarray] = None,
+        old_offsets: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Carry a block of worlds ``0 .. count - 1`` onto an evolved CSR.
+        """Worlds ``first .. first + count - 1`` of a PCG64 sampler, as one block.
 
-        ``layers`` are the evolved sampler's ``(frozen PCG64 state, width)``
-        pairs.  New row ``u`` with ``source[u] >= 0`` copies old row
-        ``source[u]`` of ``old_targets`` / ``old_offsets`` in every world,
-        each target mapped through ``remap``: the row must have the old
-        row's slots, probabilities and draw positions, and a target the
-        remap retires (``-1``) raises.  A row with ``source[u] == -1`` is
-        drawn as :meth:`draw_worlds` draws it, each slot's double read by
-        jump-ahead (:meth:`pcg64_doubles`).  Returns ``(targets, offsets,
-        probed)``: the block :meth:`draw_worlds` would draw from the
-        layers, and the worlds' doubles at ``probe``.
+        ``layers`` are the sampler's ``(frozen PCG64 state, width)`` pairs
+        and ``indptr`` / ``indices`` / ``edge_pos`` / ``probs`` its graph's
+        CSR.  Each row is scanned as
+        :meth:`~repro.diffusion.engine.WorldSampler._draw_block_numpy` scans
+        it, each slot's double read by jump-ahead.  An old block of the same
+        worlds (``source``, ``remap``, ``old_targets`` and ``old_offsets``,
+        all or none) spares the scan: new row ``u`` with ``source[u] >= 0``
+        copies old row ``source[u]`` in every world, each target mapped
+        through ``remap``.  Such a row must have the old row's slots,
+        probabilities and draw positions, and a target the remap retires
+        (``-1``) raises.  Returns ``(targets, offsets, probed)``: the block
+        the numpy loop draws, and the worlds' doubles at ``probe``.
         """
-        num_draws = sum(width for _, width in layers)
         widths = np.array([width for _, width in layers], dtype=np.int64)
-        num_nodes = _check_stream(indptr, indices, edge_pos, probs, widths, num_draws)
-        count = old_offsets.shape[0]
-        old_nodes = old_offsets.shape[1] - 1 if old_offsets.ndim == 2 else -1
-        if old_nodes < 0 or (
-            old_offsets.size
-            and (
-                old_offsets.min() < 0
-                or old_offsets.max() > old_targets.shape[0]
-                or (old_offsets[:, 1:] < old_offsets[:, :-1]).any()
-            )
-        ):
+        num_nodes = _check_stream(indptr, indices, edge_pos, probs, widths)
+        num_draws = int(widths.sum())
+        if not (first >= 0 and count >= 0):
+            raise ValueError(f"{count} worlds from world {first}")
+        if probe.size and not 0 <= probe.min() <= probe.max() < num_draws:
             raise ValueError(
-                f"old offsets of shape {old_offsets.shape} are not rows of "
-                f"non-decreasing indices into {old_targets.shape[0]} targets"
-            )
-        if old_targets.size and not (
-            0 <= old_targets.min() <= old_targets.max() < old_nodes
-        ):
-            raise ValueError(f"old targets outside the {old_nodes} old nodes")
-        if (
-            remap.shape != (old_nodes,)
-            or source.shape != (num_nodes,)
-            or (remap.size and remap.max() >= num_nodes)
-            or (source.size and not -1 <= source.min() <= source.max() < old_nodes)
-        ):
-            raise ValueError(
-                f"remap of shape {remap.shape} and source of shape "
-                f"{source.shape} for {old_nodes} old and {num_nodes} new rows"
+                f"probe positions outside the {num_draws} draws of a world"
             )
         words = _pcg64_words([state for state, _ in layers])
-        scanned = np.diff(indptr)[source < 0].sum()
-        spans = old_offsets[:, -1] - old_offsets[:, 0]
-        targets = np.empty(int(spans.sum()) + count * int(scanned), dtype=np.int32)
+        at = self._draw_at
+        old = (source, remap, old_targets, old_offsets)
+        if all(array is None for array in old):
+            # The expected live targets plus one world's worth of slack.
+            expected = count * float(probs.sum())
+            slack = int(indptr[-1])
+            old_args = (None, None, None, None, 0)
+        else:
+            old_nodes = _check_old_block(num_nodes, count, *old)
+            row_slots = np.diff(indptr)
+            scanned = source < 0
+            spans = old_offsets[:, -1] - old_offsets[:, 0]
+            expected = spans.sum() + count * float(
+                probs[np.repeat(scanned, row_slots)].sum()
+            )
+            slack = int(row_slots[scanned].sum()) + int(spans.max(initial=0))
+            old_args = (
+                at(4, source), at(5, remap), at(6, old_targets),
+                at(7, old_offsets), old_nodes,
+            )
+        targets = np.empty(int(expected) + slack, dtype=np.int32)
         offsets = np.empty((count, num_nodes + 1), dtype=np.int64)
         probed = np.empty((count, probe.shape[0]), dtype=np.float64)
-        _check_probe(probe, probed, count, num_draws)
-        at = self._evolve_at
-        status = self._evolve_raw(
-            at(0, indptr), at(1, indices), at(2, edge_pos), at(3, probs),
-            num_nodes, words.ctypes.data, widths.ctypes.data, widths.shape[0],
-            at(4, source), at(5, remap), at(6, old_targets), at(7, old_offsets),
-            old_nodes, at(8, probe), probe.shape[0], probed.ctypes.data, count,
-            targets.ctypes.data, offsets.ctypes.data,
-        )
-        if status == -1:
-            raise MemoryError("evolve_worlds could not allocate its coins")
-        if status == -2:
-            raise ValueError("a copied row holds a target the remap retires")
-        return targets[: int(offsets[-1, -1]) if count else 0], offsets, probed
+        done = 0
+        while True:
+            # A call stops before a world that might not fit; the buffer
+            # grows and the next call resumes there.
+            finished = self._draw_raw(
+                at(0, indptr), at(1, indices), at(2, edge_pos), at(3, probs),
+                num_nodes, words.ctypes.data, widths.ctypes.data,
+                widths.shape[0], *old_args, at(8, probe), probe.shape[0],
+                probed.ctypes.data, first, done, count, targets.ctypes.data,
+                targets.shape[0], offsets.ctypes.data,
+            )
+            if finished == -1:
+                raise MemoryError("draw_worlds could not allocate its coins")
+            if finished == -2:
+                raise ValueError("a copied row holds a target the remap retires")
+            done += finished
+            if done == count:
+                break
+            used = int(offsets[done - 1, -1]) if done else 0
+            grown = np.empty(max(2 * targets.shape[0], used + slack), np.int32)
+            grown[:used] = targets[:used]
+            targets = grown
+        used = int(offsets[-1, -1]) if count else 0
+        return targets[:used].copy(), offsets, probed
 
     # -- warm-up -------------------------------------------------------
 
@@ -1054,8 +858,8 @@ class CascadeKernel:
         return elapsed
 
 
-def _check_stream(indptr, indices, edge_pos, probs, widths, num_draws) -> int:
-    """Check a CSR against layer ``widths`` of ``num_draws``; its node count."""
+def _check_stream(indptr, indices, edge_pos, probs, widths) -> int:
+    """Check a CSR against stream layer ``widths``; its node count."""
     num_nodes = indptr.shape[0] - 1
     num_slots = int(indptr[-1]) if num_nodes >= 0 else -1
     if (
@@ -1065,26 +869,54 @@ def _check_stream(indptr, indices, edge_pos, probs, widths, num_draws) -> int:
         or not indices.shape == edge_pos.shape == probs.shape == (num_slots,)
     ):
         raise ValueError("CSR indptr, indices, edge_pos and probs disagree")
-    if (
-        (widths < 0).any()
-        or widths.sum() != num_draws
-        or (num_slots and not 0 <= edge_pos.min() <= edge_pos.max() < num_draws)
+    num_draws = widths.sum()
+    if (widths < 0).any() or (
+        num_slots and not 0 <= edge_pos.min() <= edge_pos.max() < num_draws
     ):
         raise ValueError(
-            f"layer widths {widths.tolist()} do not sum to the "
-            f"{num_draws} draws covering the edges' draw positions"
+            f"layer widths {widths.tolist()} do not cover the edges' draw "
+            f"positions"
         )
     return num_nodes
 
 
-def _check_probe(probe, probed, count: int, num_draws: int) -> None:
-    if probed.shape != (count, probe.shape[0]) or (
-        probe.size and not 0 <= probe.min() <= probe.max() < num_draws
+def _check_old_block(num_nodes, count, source, remap, old_targets, old_offsets) -> int:
+    """Check an old block of ``count`` worlds and its row plan; its node count."""
+    if any(array is None for array in (source, remap, old_targets, old_offsets)):
+        raise ValueError("an old block needs source, remap, old targets and offsets")
+    old_nodes = old_offsets.shape[1] - 1 if old_offsets.ndim == 2 else -1
+    if (
+        old_nodes < 0
+        or old_offsets.shape[0] != count
+        or (
+            old_offsets.size
+            and (
+                old_offsets.min() < 0
+                or old_offsets.max() > old_targets.shape[0]
+                or (old_offsets[:, 1:] < old_offsets[:, :-1]).any()
+            )
+        )
     ):
         raise ValueError(
-            f"probed of shape {probed.shape} for {count} worlds and "
-            f"{probe.shape[0]} probe positions within {num_draws} draws"
+            f"old offsets of shape {old_offsets.shape} are not {count} rows of "
+            f"non-decreasing indices into {old_targets.shape[0]} targets"
         )
+    if old_targets.size and not (
+        0 <= old_targets.min() <= old_targets.max() < old_nodes
+    ):
+        raise ValueError(f"old targets outside the {old_nodes} old nodes")
+    if (
+        remap.shape != (old_nodes,)
+        or source.shape != (num_nodes,)
+        or (remap.size and remap.max() >= num_nodes)
+        or (source.size and not -1 <= source.min() <= source.max() < old_nodes)
+        or np.bincount(source[source >= 0], minlength=1).max() > 1
+    ):
+        raise ValueError(
+            f"remap of shape {remap.shape} and source of shape "
+            f"{source.shape} for {old_nodes} old and {num_nodes} new rows"
+        )
+    return old_nodes
 
 
 def _pcg64_words(states: Sequence[dict]) -> np.ndarray:

@@ -100,9 +100,10 @@ class CompiledGraph:
         self.sc_costs = sc_costs
         #: Width of one world's coin-flip stream.  Equals ``num_edges`` for a
         #: freshly compiled graph; grows past it on graphs evolved through
-        #: :meth:`apply_events`, where dropped edges leave permanent holes in
-        #: the draw-position space so that surviving edges keep their draw
-        #: positions — and therefore their coin flips — across versions.
+        #: event batches (:func:`repro.graph.events.compute_application`),
+        #: where dropped edges leave permanent holes in the draw-position
+        #: space so that surviving edges keep their draw positions — and
+        #: therefore their coin flips — across versions.
         self.num_draws = int(num_draws) if num_draws is not None else int(indices.shape[0])
 
     # ------------------------------------------------------------------
@@ -317,20 +318,6 @@ class CompiledGraph:
     # ------------------------------------------------------------------
     # evolution
     # ------------------------------------------------------------------
-
-    def apply_events(self, batch) -> "object":
-        """Delta-recompile this snapshot under a :class:`GraphEventBatch`.
-
-        Returns an :class:`repro.graph.events.EventApplication` carrying the
-        evolved :class:`CompiledGraph` (touched CSR rows rebuilt, untouched
-        row runs copied in bulk — whole arrays aliased for attribute-only
-        batches), the old→new node-index remap table, and the draw-position
-        records (added / dropped / reweighted) that snapshot reconciliation
-        keys on.  This object is not mutated.
-        """
-        from repro.graph.events import compute_application
-
-        return compute_application(self, batch)
 
     def with_attributes(self, graph: SocialGraph) -> "CompiledGraph":
         """A new snapshot aliasing this one's topology with fresh attributes.

@@ -60,7 +60,6 @@ __all__ = [
     "GraphEventBatch",
     "EventApplication",
     "compute_application",
-    "apply_event_batch",
 ]
 
 
@@ -241,12 +240,10 @@ class EventApplication:
     compiled:
         The evolved :class:`CompiledGraph`.
     remap:
-        int64 array of length ``old_num_nodes``: old node index → new node
+        int64 array with one entry per old node: old node index → new node
         index, ``-1`` for retired nodes.  Surviving nodes keep their
-        relative order; new nodes are appended.
-    identity_remap:
-        ``True`` iff no node was retired — every old index maps to itself
-        and per-world state needs no index translation.
+        relative order; new nodes are appended, so with no node retired
+        every old index maps to itself.
     added / dropped / reweighted:
         Draw-position records of the edges the batch actually changed:
         ``(position, probability)`` for added edges (positions all at or
@@ -269,8 +266,6 @@ class EventApplication:
     __slots__ = (
         "compiled",
         "remap",
-        "identity_remap",
-        "old_num_nodes",
         "added",
         "dropped",
         "reweighted",
@@ -284,7 +279,6 @@ class EventApplication:
         compiled: CompiledGraph,
         remap: np.ndarray,
         *,
-        old_num_nodes: int,
         added: List[Tuple[int, float]],
         dropped: List[Tuple[int, float]],
         reweighted: List[Tuple[int, float, float]],
@@ -294,8 +288,6 @@ class EventApplication:
     ) -> None:
         self.compiled = compiled
         self.remap = remap
-        self.identity_remap = not retired
-        self.old_num_nodes = int(old_num_nodes)
         self.added = added
         self.dropped = dropped
         self.reweighted = reweighted
@@ -310,7 +302,7 @@ class EventApplication:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"EventApplication(nodes={self.old_num_nodes}->"
+            f"EventApplication(nodes={self.remap.size}->"
             f"{self.compiled.num_nodes}, added={len(self.added)}, "
             f"dropped={len(self.dropped)}, reweighted={len(self.reweighted)}, "
             f"retired={len(self.retired)})"
@@ -498,7 +490,6 @@ def compute_application(
         return EventApplication(
             evolved,
             remap,
-            old_num_nodes=old_n,
             added=[],
             dropped=[],
             reweighted=[],
@@ -621,7 +612,6 @@ def compute_application(
     return EventApplication(
         evolved,
         remap,
-        old_num_nodes=old_n,
         added=added,
         dropped=sorted(dropped.items()),
         reweighted=reweighted,
@@ -630,16 +620,3 @@ def compute_application(
         num_new_draws=num_new_draws,
     )
 
-
-def apply_event_batch(graph: SocialGraph, batch: GraphEventBatch) -> EventApplication:
-    """Apply ``batch`` to ``graph`` in place, keeping the CSR cache live.
-
-    Delta-applies the batch to the (possibly freshly compiled) snapshot,
-    replays it onto the adjacency dicts, and installs the evolved snapshot
-    as the graph's compiled cache — the graph and its CSR never disagree,
-    and the next ``graph.compiled()`` call is free.
-    """
-    application = compute_application(graph.compiled(), batch)
-    batch.apply_to_graph(graph)
-    graph._install_compiled(application.compiled)
-    return application

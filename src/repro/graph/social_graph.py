@@ -145,12 +145,6 @@ class SocialGraph:
         self._ranked_cache.pop(node, None)
         self._topology_version += 1
 
-    def set_attributes(self, node: NodeId, attributes: NodeAttributes) -> None:
-        """Replace the attributes of an existing node."""
-        self._require_node(node)
-        self._attrs[node] = attributes
-        self._attribute_version += 1
-
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
@@ -208,9 +202,12 @@ class SocialGraph:
         call is free.  Returns the :class:`repro.graph.events.EventApplication`
         describing the evolution (remap table, draw-position records).
         """
-        from repro.graph.events import apply_event_batch
+        from repro.graph.events import compute_application
 
-        return apply_event_batch(self, batch)
+        application = compute_application(self.compiled(), batch)
+        batch.apply_to_graph(self)
+        self._install_compiled(application.compiled)
+        return application
 
     def _install_compiled(self, compiled) -> None:
         """Adopt an externally evolved snapshot as the current cache."""

@@ -1,13 +1,13 @@
 """Parity suite: the native world draw vs the numpy loop it replaces.
 
 :meth:`~repro.diffusion.kernels.CascadeKernel.draw_worlds` draws a block of
-live-edge worlds from a sampler's layered streams in one native call.  It
-must give exactly the block of
+live-edge worlds of a PCG64 sampler in one native call, reading the layered
+streams by jump-ahead.  It must give exactly the block of
 :meth:`~repro.diffusion.engine.WorldSampler._draw_block_numpy` — the same
 int32 targets, the same absolute int64 offsets — and the same draws at probed
 positions as :func:`tests.oracles.stream_draws`, which reads each layer's
-stream in order with no skip-ahead, for any layering, any block bounds and
-any bit generator.  These tests pin that:
+stream in order with no skip-ahead, for any layering and any block bounds.
+Other bit generators draw with the numpy loop.  These tests pin that:
 
 * hypothesis over graphs evolved by up to three event batches (so blocks
   are drawn from several stream layers), four bit generators, any shard
@@ -15,16 +15,20 @@ any bit generator.  These tests pin that:
   a final batch reweights one edge to exactly one world's draw at it, so a
   ``<=`` for the kernel's ``<`` shows;
 * the event path of every engine, resident or sharded: the dirty mask it
-  reads off its block redraw (or, resident on PCG64 with the native
-  kernel, its evolve) is the dirty-world rule applied to the stream
-  oracle's draws, and the blocks it holds equal the numpy loop's;
+  reads off its block draw (or, resident on PCG64 with the native kernel,
+  its evolve) is the dirty-world rule applied to the stream oracle's draws,
+  and the blocks it holds equal the numpy loop's;
 * the same mask and probe draws for each bit generator on a fixed graph,
   on whichever draw the environment has (native or numpy);
-* resumption: with a target buffer of one world's bound (``indptr[-1]``
-  entries) the entry stops before every world that might not fit, and the
-  resumed calls still produce the numpy loop's block;
+* the dispatch: with the kernel loaded, a PCG64 sampler never runs the
+  numpy loop and MT19937 and Philox samplers never call the native entry;
+* resumption: sized for one world, the entry stops before every world that
+  might not fit, and the resumed calls still produce the numpy loop's
+  block, fresh and from an old block;
 * the entry's argument checks.
 """
+
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -49,9 +53,11 @@ from tests.oracles import stream_draws
 NUM_WORLDS = 12
 BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
 
+_KERNEL = kernels.load_kernel()
+
 requires_native = pytest.mark.skipif(
-    kernels.load_kernel() is None,
-    reason="no native kernel backend resolves in this environment",
+    _KERNEL is None or not _KERNEL.pcg64_jump_ahead,
+    reason="no native kernel with the PCG64 jump-ahead draw resolves here",
 )
 
 
@@ -139,33 +145,40 @@ def _tie_batch(sampler, edge_choice, world):
     )
 
 
-def _draw_with_tight_buffer(kernel, sampler, start, count, probe):
-    """The draw entry resumed on a buffer of one world's bound at a time."""
+class _Understated(np.ndarray):
+    """Probabilities (or old offsets) whose sum reads 0.
+
+    The draw sizes its buffer as the expected live targets plus one world's
+    slack; with these it holds one world, so every later world that has
+    live targets before it makes the entry stop, grow and resume.
+    """
+
+    def sum(self, *args, **kwargs):
+        return 0.0
+
+
+def _draw_resumed(sampler, start, count, probe, **old):
+    """The draw entry sized for one world; its output and each call's worlds."""
     compiled = sampler.compiled
-    generators = [
-        sampler._layer_generator(state, width, start) for state, width in sampler.layers
-    ]
-    widths = [width for _, width in sampler.layers]
-    num_slots = int(compiled.indptr[-1])
-    targets = np.empty(num_slots, dtype=np.int32)
-    offsets = np.empty((count, compiled.num_nodes + 1), dtype=np.int64)
-    probed = np.empty((count, probe.shape[0]), dtype=np.float64)
-    done = 0
-    while done < count:
-        finished = kernel.draw_worlds(
-            compiled.indptr, compiled.indices, compiled.edge_pos, compiled.probs,
-            compiled.num_draws, generators, widths, done, targets, offsets,
-            probe, probed,
+    calls = []
+    raw = _KERNEL._draw_raw
+
+    def counted(*args):
+        calls.append(raw(*args))
+        return calls[-1]
+
+    if old:
+        old["old_offsets"] = old["old_offsets"].view(_Understated)
+    with mock.patch.object(_KERNEL, "_draw_raw", counted):
+        drawn = _KERNEL.draw_worlds(
+            compiled.indptr, compiled.indices, compiled.edge_pos,
+            compiled.probs.view(_Understated), sampler.layers, start, count,
+            probe, **old,
         )
-        # A world that had room was drawn; none was drawn without room.
-        assert finished >= 1
-        done += finished
-        used = int(offsets[done - 1, -1])
-        assert used <= targets.shape[0]
-        grown = np.empty(used + num_slots, dtype=np.int32)
-        grown[:used] = targets[:used]
-        targets = grown
-    return targets[: int(offsets[-1, -1])], offsets, probed
+    # A call with room for a world drew it; the calls add up to the block.
+    assert min(calls) >= 1
+    assert sum(calls) == count
+    return drawn, calls
 
 
 @requires_native
@@ -187,7 +200,6 @@ def test_native_draw_matches_numpy_loop(
     data, kind, seed, shard_size, start, count, probe_choices, tie
 ):
     graph, batches = data
-    kernel = kernels.load_kernel()
     engine = CompiledCascadeEngine(
         graph.compiled(), NUM_WORLDS, seed=np.random.Generator(kind(seed)),
         shard_size=shard_size, use_kernel=False,
@@ -196,11 +208,11 @@ def test_native_draw_matches_numpy_loop(
 
     def evolve(batch):
         application = graph.apply_events(batch)
-        # The mask read off the redraw is the rule on the stream's draws...
+        # The mask read off the block draw is the rule on the stream's draws...
         _assert_mask_is_stream_rule(
             engine.apply_events(application), engine, application
         )
-        # ...and the redrawn blocks are the numpy loop's.
+        # ...and the drawn blocks are the numpy loop's.
         _assert_grid_is_numpy_loops(engine)
 
     for batch in batches:
@@ -224,74 +236,14 @@ def test_native_draw_matches_numpy_loop(
         native_draws, stream_draws(sampler, probe, start + count)[start:]
     )
 
-    targets, offsets, probed = _draw_with_tight_buffer(
-        kernel, sampler, start, count, probe
-    )
+    if sampler.jump_ahead_kernel() is None:
+        return
+    (targets, offsets, probed), calls = _draw_resumed(sampler, start, count, probe)
     np.testing.assert_array_equal(targets, oracle.targets)
     np.testing.assert_array_equal(offsets, oracle.offsets)
     np.testing.assert_array_equal(probed, oracle_draws)
-
-
-@requires_native
-def test_draw_entry_rejects_bad_arguments(two_hop_path):
-    kernel = kernels.load_kernel()
-    compiled = two_hop_path.compiled()
-    sampler = WorldSampler(compiled, seed=3)
-    width = compiled.num_draws
-    count = 4
-
-    def call(**overrides):
-        arguments = dict(
-            indptr=compiled.indptr,
-            indices=compiled.indices,
-            edge_pos=compiled.edge_pos,
-            probs=compiled.probs,
-            num_draws=width,
-            generators=[sampler._layer_generator(sampler.state, width, 0)],
-            widths=[width],
-            first=0,
-            targets=np.empty(count * compiled.num_edges, dtype=np.int32),
-            offsets=np.empty((count, compiled.num_nodes + 1), dtype=np.int64),
-            probe=np.zeros(1, dtype=np.int64),
-            probed=np.empty((count, 1), dtype=np.float64),
-        )
-        arguments.update(overrides)
-        return kernel.draw_worlds(**arguments)
-
-    assert call() == count
-    # One generator feeding two layers takes its (non-reentrant) lock once.
-    shared = sampler._layer_generator(sampler.state, width, 0)
-    assert call(generators=[shared, shared], widths=[width, 0]) == count
-    with pytest.raises(ValueError, match="disagree"):
-        call(indptr=compiled.indptr[::-1].copy())
-    with pytest.raises(ValueError, match="disagree"):
-        call(probs=compiled.probs[:-1].copy())
-    with pytest.raises(ValueError, match="generators"):
-        call(widths=[width, 0])
-    with pytest.raises(ValueError, match="do not sum"):
-        call(widths=[width - 1])
-    with pytest.raises(ValueError, match="do not sum"):
-        call(num_draws=width + 1)
-    with pytest.raises(ValueError, match="do not sum"):
-        call(
-            generators=[sampler._layer_generator(sampler.state, width, 0)] * 2,
-            widths=[width, 1],
-        )
-    with pytest.raises(ValueError, match="offsets"):
-        call(offsets=np.empty((count, compiled.num_nodes), dtype=np.int64))
-    with pytest.raises(ValueError, match="offsets"):
-        call(first=count + 1)
-    with pytest.raises(ValueError, match="resuming"):
-        offsets = np.full((count, compiled.num_nodes + 1), -1, dtype=np.int64)
-        call(first=1, offsets=offsets)
-    with pytest.raises(ValueError, match="probe"):
-        call(probe=np.array([width], dtype=np.int64))
-    with pytest.raises(ValueError, match="probe"):
-        call(probed=np.empty((count, 2), dtype=np.float64))
-    with pytest.raises(TypeError, match="int32"):
-        call(targets=np.empty(count * compiled.num_edges, dtype=np.int64))
-    with pytest.raises(TypeError, match="float64"):
-        call(probs=compiled.probs.astype(np.float32))
+    if count > 1 and oracle.offsets[-2, -1] > 0:
+        assert len(calls) > 1
 
 
 def _fixed_graph():
@@ -304,6 +256,180 @@ def _fixed_graph():
         if source != target and not graph.has_edge(source, target):
             graph.add_edge(source, target, float(rng.uniform(0.1, 0.6)))
     return graph
+
+
+@requires_native
+def test_draw_entry_rejects_bad_arguments():
+    graph = _fixed_graph()
+    old = CompiledCascadeEngine(graph.compiled(), NUM_WORLDS, seed=3)
+    [(_, _, block)] = old.world_blocks()
+    compiled = graph.compiled()
+    width = compiled.num_draws
+    num_nodes = compiled.num_nodes
+    state = old.sampler.state
+    rows = np.arange(num_nodes, dtype=np.int64)
+    ends = np.array([0, width - 1], dtype=np.int64)
+
+    def call(**overrides):
+        arguments = dict(
+            indptr=compiled.indptr,
+            indices=compiled.indices,
+            edge_pos=compiled.edge_pos,
+            probs=compiled.probs,
+            layers=old.sampler.layers,
+            first=0,
+            count=NUM_WORLDS,
+            probe=ends,
+        )
+        arguments.update(overrides)
+        return _KERNEL.draw_worlds(**arguments)
+
+    def carry(**overrides):
+        old_block = dict(
+            source=rows, remap=rows, old_targets=block.targets,
+            old_offsets=block.offsets,
+        )
+        old_block.update(overrides)
+        return call(**old_block)
+
+    # A fresh draw, every row copied and every row scanned: the same block,
+    # whatever the probe reads.
+    for targets, offsets, probed in (
+        call(), carry(), carry(source=np.full(num_nodes, -1, dtype=np.int64))
+    ):
+        np.testing.assert_array_equal(targets, block.targets)
+        np.testing.assert_array_equal(offsets, block.offsets)
+        np.testing.assert_array_equal(
+            probed, stream_draws(old.sampler, ends, NUM_WORLDS)
+        )
+    targets, offsets, _ = call(first=5, count=4)
+    oracle, _ = old.sampler._draw_block_numpy(5, 4, ends)
+    np.testing.assert_array_equal(targets, oracle.targets)
+    np.testing.assert_array_equal(offsets, oracle.offsets)
+    assert call(count=0)[1].shape == (0, num_nodes + 1)
+
+    with pytest.raises(ValueError, match="worlds"):
+        call(first=-1)
+    with pytest.raises(ValueError, match="worlds"):
+        call(count=-1)
+    with pytest.raises(ValueError, match="disagree"):
+        call(indptr=compiled.indptr[::-1].copy())
+    with pytest.raises(ValueError, match="disagree"):
+        call(probs=compiled.probs[:-1].copy())
+    with pytest.raises(ValueError, match="do not cover"):
+        call(layers=((state, width - 1),))
+    with pytest.raises(ValueError, match="do not cover"):
+        call(layers=((state, width + 1), (state, -1)))
+    with pytest.raises(ValueError, match="PCG64"):
+        call(layers=((np.random.MT19937(3).state, width),))
+    with pytest.raises(ValueError, match="probe"):
+        call(probe=np.array([width], dtype=np.int64))
+    with pytest.raises(ValueError, match="probe"):
+        call(probe=np.array([-1], dtype=np.int64))
+    with pytest.raises(ValueError, match="needs"):
+        call(source=rows)
+    with pytest.raises(ValueError, match="old offsets"):
+        carry(old_offsets=block.offsets[0].copy())
+    with pytest.raises(ValueError, match="old offsets"):
+        carry(old_offsets=block.offsets[:-1].copy())
+    with pytest.raises(ValueError, match="old offsets"):
+        carry(old_offsets=block.offsets[:, ::-1].copy())
+    with pytest.raises(ValueError, match="old offsets"):
+        carry(old_targets=block.targets[:-1].copy())
+    with pytest.raises(ValueError, match="old targets"):
+        carry(old_targets=np.full_like(block.targets, num_nodes))
+    with pytest.raises(ValueError, match="source"):
+        carry(source=rows[:-1].copy())
+    with pytest.raises(ValueError, match="source"):
+        carry(source=rows + 1)
+    with pytest.raises(ValueError, match="source"):
+        carry(source=np.full(num_nodes, -2, dtype=np.int64))
+    with pytest.raises(ValueError, match="source"):
+        carry(source=np.zeros(num_nodes, dtype=np.int64))
+    with pytest.raises(ValueError, match="remap"):
+        carry(remap=np.arange(num_nodes + 1, dtype=np.int64))
+    with pytest.raises(ValueError, match="remap"):
+        carry(remap=rows + 1)
+    with pytest.raises(ValueError, match="retires"):
+        carry(remap=np.full(num_nodes, -1, dtype=np.int64))
+    with pytest.raises(TypeError, match="int32"):
+        carry(old_targets=block.targets.astype(np.int64))
+    with pytest.raises(TypeError, match="int64"):
+        call(probe=ends.astype(np.int32))
+    with pytest.raises(TypeError, match="float64"):
+        call(probs=compiled.probs.astype(np.float32))
+
+
+@requires_native
+def test_draw_entry_grows_and_resumes():
+    """Sized for one world, fresh and from an old block: the numpy loop's block."""
+    graph = _fixed_graph()
+    engine = CompiledCascadeEngine(graph.compiled(), NUM_WORLDS, seed=5)
+    [(_, _, old_block)] = engine.world_blocks()
+    application = graph.apply_events(
+        GraphEventBatch([NodeRetire(2), EdgeAdd(0, "x", 0.7), EdgeAdd("x", 4, 0.9)])
+    )
+    evolved = engine.sampler.rekey(application.compiled, application.num_new_draws)
+    probe, _ = dirty_probe(application)
+    oracle, oracle_draws = evolved._draw_block_numpy(0, NUM_WORLDS, probe)
+    # The old-block arguments the sampler passes for this batch.
+    old = {}
+    draw = _KERNEL.draw_worlds
+
+    def capture(*args, **kwargs):
+        old.update(kwargs)
+        return draw(*args, **kwargs)
+
+    with mock.patch.object(_KERNEL, "draw_worlds", capture):
+        evolved.draw_block_private(
+            0, NUM_WORLDS, probe=probe, old=(old_block, application)
+        )
+    assert (old["source"] >= 0).any() and (old["source"] < 0).any()
+    for drawn, calls in (
+        _draw_resumed(evolved, 0, NUM_WORLDS, probe),
+        _draw_resumed(evolved, 0, NUM_WORLDS, probe, **old),
+    ):
+        targets, offsets, probed = drawn
+        np.testing.assert_array_equal(targets, oracle.targets)
+        np.testing.assert_array_equal(offsets, oracle.offsets)
+        np.testing.assert_array_equal(probed, oracle_draws)
+        assert len(calls) > 1
+
+
+@requires_native
+@pytest.mark.parametrize("kind", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+def test_draws_follow_the_bit_generator(kind):
+    """With the kernel loaded, PCG64 blocks are native and others numpy."""
+    numpy_calls, native_calls = [], []
+    numpy_draw = WorldSampler._draw_block_numpy
+    native_draw = _KERNEL.draw_worlds
+
+    def numpy_counted(self, *args):
+        numpy_calls.append(args[:2])
+        return numpy_draw(self, *args)
+
+    def native_counted(*args, **kwargs):
+        native_calls.append(args[5:7])
+        return native_draw(*args, **kwargs)
+
+    with mock.patch.object(
+        WorldSampler, "_draw_block_numpy", numpy_counted
+    ), mock.patch.object(_KERNEL, "draw_worlds", native_counted):
+        for shard_size in (None, 5):
+            graph = _fixed_graph()
+            engine = CompiledCascadeEngine(
+                graph.compiled(), NUM_WORLDS, seed=np.random.Generator(kind(3)),
+                shard_size=shard_size,
+            )
+            engine.run([0], {0: 2})
+            engine.apply_events(
+                graph.apply_events(GraphEventBatch([EdgeAdd(0, "x", 0.4)]))
+            )
+            engine.run([0], {0: 2})
+    if kind is np.random.PCG64:
+        assert numpy_calls == [] and native_calls
+    else:
+        assert native_calls == [] and numpy_calls
 
 
 @pytest.mark.parametrize("shard_size", [None, 5])

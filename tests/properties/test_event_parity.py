@@ -160,7 +160,7 @@ def test_delta_recompile_identical_to_full_rebuild(data_instance):
 
     # Remap: survivors keep their prefix order, retires map to -1.
     remap = application.remap
-    assert remap.shape[0] == application.old_num_nodes
+    assert remap.shape[0] == old_compiled.num_nodes
     for old_index, node in enumerate(old_compiled.node_ids):
         new_index = int(remap[old_index])
         if new_index >= 0:
@@ -169,7 +169,8 @@ def test_delta_recompile_identical_to_full_rebuild(data_instance):
             ) == str(node)
         else:
             assert old_index in application.retired
-    assert application.identity_remap == (not application.retired)
+    if not application.retired:
+        np.testing.assert_array_equal(remap, np.arange(remap.size))
 
 
 @settings(max_examples=25, deadline=None)
@@ -209,7 +210,8 @@ def test_attribute_only_batch_aliases_topology():
     assert after.probs is before.probs
     assert after.edge_pos is before.edge_pos
     assert application.touched_edges == 0
-    assert application.identity_remap
+    assert not application.retired
+    np.testing.assert_array_equal(application.remap, np.arange(4))
     assert float(after.benefits[after.index[1]]) == 9.0
 
 

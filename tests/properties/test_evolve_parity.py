@@ -1,24 +1,27 @@
-"""Parity suite: a resident engine's evolved block vs the redraw it replaces.
+"""Parity suite: a resident engine's evolved block vs the fresh draw it replaces.
 
-An event batch on a one-block grid of PCG64 worlds does not redraw the block.
-:meth:`~repro.diffusion.engine.WorldSampler.evolve_block` keeps each world's
-live targets of the rows the batch copied and draws only the rebuilt rows,
-and the changed edges' positions, by PCG64 jump-ahead
-(:meth:`~repro.diffusion.kernels.CascadeKernel.evolve_worlds`).  The result
-must be exactly the redraw's: the block of
+An event batch on a one-block grid of PCG64 worlds does not draw the block
+afresh.  :meth:`~repro.diffusion.engine.WorldSampler.draw_block_private`,
+given the pre-batch block, keeps each world's live targets of the rows the
+batch copied and scans only the rebuilt rows, and reads the changed edges'
+positions, by PCG64 jump-ahead in the kernel's one world draw
+(:meth:`~repro.diffusion.kernels.CascadeKernel.draw_worlds`).  The result
+must be exactly the fresh draw's: the block of
 :meth:`~repro.diffusion.engine.WorldSampler._draw_block_numpy` on the evolved
 sampler, and the dirty mask of the rule applied to the draws of
 :func:`tests.oracles.stream_draws`.  These tests pin that:
 
 * hypothesis over evolving graphs, on engines seeded with an int and with a
   caller-owned ``Generator(PCG64)`` holding a buffered 32-bit half: after
-  each batch, block and mask are the oracles', and no block was drawn;
+  each batch, block and mask are the oracles', and the one draw carried the
+  old block;
 * fixed batches: a hub retire (many rebuilt rows, remapped targets), an
   attribute-only batch (no rebuilt row, mask all false, block unchanged) and
   a drop-then-re-add of one edge in one batch;
-* the engines that still redraw: MT19937 streams and sharded grids;
-* the jump-ahead reader (:meth:`CascadeKernel.pcg64_doubles`) against the
-  stream oracle, and both entries' argument checks.
+* the engines that draw each block afresh: MT19937 streams and sharded
+  grids;
+* the draw entry's jump-ahead against the stream oracle on three layers
+  from a world above 0, with a buffered 32-bit half.
 """
 
 import contextlib
@@ -48,18 +51,21 @@ _KERNEL = kernels.load_kernel()
 
 requires_jump_ahead = pytest.mark.skipif(
     _KERNEL is None or not _KERNEL.pcg64_jump_ahead,
-    reason="no native kernel with the PCG64 jump-ahead entries resolves here",
+    reason="no native kernel with the PCG64 jump-ahead draw resolves here",
 )
 
 
 @contextlib.contextmanager
 def _counting_draws():
-    """Record every block drawn from a stream while the context is open."""
+    """Record ``(start, count, carried)`` per block drawn while open.
+
+    ``carried`` says whether the draw was given the pre-batch block.
+    """
     calls = []
     draw = WorldSampler.draw_block_private
 
     def counted(self, *args, **kwargs):
-        calls.append(args[:2])
+        calls.append((*args[:2], kwargs.get("old") is not None))
         return draw(self, *args, **kwargs)
 
     with mock.patch.object(WorldSampler, "draw_block_private", counted):
@@ -75,11 +81,11 @@ def _buffered_generator(seed):
 
 
 def _evolve(engine, graph, batch):
-    """Apply ``batch``; assert the redraw's block and mask; the application."""
+    """Apply ``batch``; assert the fresh draw's block and mask; the application."""
     application = graph.apply_events(batch)
     with _counting_draws() as calls:
         mask = engine.apply_events(application)
-    assert calls == []
+    assert calls == [(0, NUM_WORLDS, True)]
     _assert_mask_is_stream_rule(mask, engine, application)
     _assert_grid_is_numpy_loops(engine)
     return application, mask
@@ -130,7 +136,7 @@ def test_hub_retire_rebuilds_many_rows():
     application, mask = _evolve(
         engine, graph, GraphEventBatch([NodeRetire(0), EdgeAdd(3, 9, 0.5)])
     )
-    assert not application.identity_remap
+    assert application.retired
     assert len(application.rebuilt) == 12
     assert mask.any()
 
@@ -169,6 +175,7 @@ def test_drop_then_readd_draws_a_fresh_coin():
     "kind, shard_size", [(np.random.MT19937, None), (np.random.PCG64, 5)]
 )
 def test_other_engines_redraw_every_block(kind, shard_size):
+    """Each block of the grid is drawn afresh, once, without the old block."""
     graph = _fixed_graph()
     engine = CompiledCascadeEngine(
         graph.compiled(), NUM_WORLDS, seed=np.random.Generator(kind(3)),
@@ -177,126 +184,45 @@ def test_other_engines_redraw_every_block(kind, shard_size):
     application = graph.apply_events(GraphEventBatch([EdgeAdd(0, "x", 0.4)]))
     with _counting_draws() as calls:
         mask = engine.apply_events(application)
-    assert sorted(calls) == sorted(engine.bounds)
+    assert sorted(calls) == sorted((*bounds, False) for bounds in engine.bounds)
     _assert_mask_is_stream_rule(mask, engine, application)
     _assert_grid_is_numpy_loops(engine)
 
 
 def _three_layer_sampler():
     graph = _fixed_graph()
-    engine = CompiledCascadeEngine(graph.compiled(), NUM_WORLDS, seed=11)
+    engine = CompiledCascadeEngine(
+        graph.compiled(), NUM_WORLDS, seed=_buffered_generator(11)
+    )
     for batch in (
         GraphEventBatch([EdgeAdd(0, "x", 0.1), EdgeAdd("x", 2, 0.3)]),
         GraphEventBatch([EdgeAdd("x", 3, 0.2), EdgeAdd(4, "x", 0.05)]),
     ):
         engine.apply_events(graph.apply_events(batch))
     assert len(engine.sampler.layers) == 3
+    assert engine.sampler.state["has_uint32"]
     return engine.sampler
 
 
 @requires_jump_ahead
 def test_jump_ahead_reader_reads_the_stream_oracle():
+    """The draw entry reads each layer's first and last double from world 3 on."""
     sampler = _three_layer_sampler()
+    compiled = sampler.compiled
     first = 3
+    probe = []
     low = 0
-    for state, width in sampler.layers:
-        local = np.array([0, width - 1], dtype=np.int64)
-        expected = stream_draws(sampler, low + local, NUM_WORLDS)[first:]
-        np.testing.assert_array_equal(
-            _KERNEL.pcg64_doubles(state, width, local, first, NUM_WORLDS - first),
-            expected,
-        )
+    for _, width in sampler.layers:
+        probe += [low, low + width - 1]
         low += width
-
-
-@requires_jump_ahead
-def test_jump_ahead_reader_rejects_bad_arguments():
-    state = np.random.PCG64(3).state
-    local = np.array([0, 4], dtype=np.int64)
-    assert _KERNEL.pcg64_doubles(state, 5, local, 2, 3).shape == (3, 2)
-    with pytest.raises(ValueError, match="PCG64"):
-        _KERNEL.pcg64_doubles(np.random.MT19937(3).state, 5, local, 0, 3)
-    with pytest.raises(ValueError, match="local offsets"):
-        _KERNEL.pcg64_doubles(state, 4, local, 0, 3)
-    with pytest.raises(ValueError, match="local offsets"):
-        _KERNEL.pcg64_doubles(state, 5, np.array([-1], dtype=np.int64), 0, 3)
-    with pytest.raises(ValueError, match="worlds"):
-        _KERNEL.pcg64_doubles(state, 5, local, -1, 3)
-    with pytest.raises(ValueError, match="worlds"):
-        _KERNEL.pcg64_doubles(state, 5, local, 0, -1)
-    with pytest.raises(TypeError, match="int64"):
-        _KERNEL.pcg64_doubles(state, 5, local.astype(np.int32), 0, 3)
-
-
-@requires_jump_ahead
-def test_evolve_entry_rejects_bad_arguments():
-    graph = _fixed_graph()
-    old = CompiledCascadeEngine(graph.compiled(), NUM_WORLDS, seed=3)
-    [(_, _, block)] = old.world_blocks()
-    compiled = graph.compiled()
-    width = compiled.num_draws
-    num_nodes = compiled.num_nodes
-
-    def call(**overrides):
-        arguments = dict(
-            indptr=compiled.indptr,
-            indices=compiled.indices,
-            edge_pos=compiled.edge_pos,
-            probs=compiled.probs,
-            layers=old.sampler.layers,
-            source=np.arange(num_nodes, dtype=np.int64),
-            remap=np.arange(num_nodes, dtype=np.int64),
-            old_targets=block.targets,
-            old_offsets=block.offsets,
-            probe=np.array([0, width - 1], dtype=np.int64),
-        )
-        arguments.update(overrides)
-        return _KERNEL.evolve_worlds(**arguments)
-
-    # Every row copied: the old block, whatever the probe reads.
-    targets, offsets, probed = call()
-    np.testing.assert_array_equal(targets, block.targets)
-    np.testing.assert_array_equal(offsets, block.offsets)
-    np.testing.assert_array_equal(
-        probed, stream_draws(old.sampler, np.array([0, width - 1]), NUM_WORLDS)
+    probe = np.array(probe, dtype=np.int64)
+    targets, offsets, probed = _KERNEL.draw_worlds(
+        compiled.indptr, compiled.indices, compiled.edge_pos, compiled.probs,
+        sampler.layers, first, NUM_WORLDS - first, probe,
     )
-    # Every row scanned: the draw.
-    targets, offsets, _ = call(source=np.full(num_nodes, -1, dtype=np.int64))
-    np.testing.assert_array_equal(targets, block.targets)
-    np.testing.assert_array_equal(offsets, block.offsets)
-
-    state = old.sampler.state
-    with pytest.raises(ValueError, match="disagree"):
-        call(indptr=compiled.indptr[::-1].copy())
-    with pytest.raises(ValueError, match="disagree"):
-        call(probs=compiled.probs[:-1].copy())
-    with pytest.raises(ValueError, match="do not sum"):
-        call(layers=((state, width - 1),))
-    with pytest.raises(ValueError, match="PCG64"):
-        call(layers=((np.random.MT19937(3).state, width),))
-    with pytest.raises(ValueError, match="old offsets"):
-        call(old_offsets=block.offsets[0].copy())
-    with pytest.raises(ValueError, match="old offsets"):
-        call(old_offsets=block.offsets[:, ::-1].copy())
-    with pytest.raises(ValueError, match="old offsets"):
-        call(old_targets=block.targets[:-1].copy())
-    with pytest.raises(ValueError, match="old targets"):
-        call(old_targets=np.full_like(block.targets, num_nodes))
-    with pytest.raises(ValueError, match="source"):
-        call(source=np.arange(num_nodes - 1, dtype=np.int64))
-    with pytest.raises(ValueError, match="source"):
-        call(source=np.arange(num_nodes, dtype=np.int64) + 1)
-    with pytest.raises(ValueError, match="source"):
-        call(source=np.full(num_nodes, -2, dtype=np.int64))
-    with pytest.raises(ValueError, match="remap"):
-        call(remap=np.arange(num_nodes + 1, dtype=np.int64))
-    with pytest.raises(ValueError, match="remap"):
-        call(remap=np.arange(num_nodes, dtype=np.int64) + 1)
-    with pytest.raises(ValueError, match="retires"):
-        call(remap=np.full(num_nodes, -1, dtype=np.int64))
-    with pytest.raises(ValueError, match="probe"):
-        call(probe=np.array([width], dtype=np.int64))
-    with pytest.raises(TypeError, match="int32"):
-        call(old_targets=block.targets.astype(np.int64))
-    with pytest.raises(TypeError, match="float64"):
-        call(probs=compiled.probs.astype(np.float32))
+    np.testing.assert_array_equal(
+        probed, stream_draws(sampler, probe, NUM_WORLDS)[first:]
+    )
+    oracle, _ = sampler._draw_block_numpy(first, NUM_WORLDS - first, probe)
+    np.testing.assert_array_equal(targets, oracle.targets)
+    np.testing.assert_array_equal(offsets, oracle.offsets)
