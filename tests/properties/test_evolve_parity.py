@@ -21,7 +21,9 @@ sampler, and the dirty mask of the rule applied to the draws of
 * the engines that draw each block afresh: MT19937 streams and sharded
   grids;
 * the draw entry's jump-ahead against the stream oracle on three layers
-  from a world above 0, with a buffered 32-bit half.
+  from a world above 0, with a buffered 32-bit half;
+* the draw entry's refusals: of bad layers, windows and probes, and of a
+  bad old block, source or remap.
 """
 
 import contextlib
@@ -226,3 +228,107 @@ def test_jump_ahead_reader_reads_the_stream_oracle():
     oracle, _ = sampler._draw_block_numpy(first, NUM_WORLDS - first, probe)
     np.testing.assert_array_equal(targets, oracle.targets)
     np.testing.assert_array_equal(offsets, oracle.offsets)
+
+
+def _draw_entry(engine, **fixed):
+    """Call the draw entry on ``engine``'s graph and layers: all its worlds,
+    both ends of the draws probed, ``fixed`` and then the call's keyword
+    arguments overriding."""
+    compiled = engine.sampler.compiled
+
+    def call(**overrides):
+        arguments = dict(
+            indptr=compiled.indptr,
+            indices=compiled.indices,
+            edge_pos=compiled.edge_pos,
+            probs=compiled.probs,
+            layers=engine.sampler.layers,
+            first=0,
+            count=NUM_WORLDS,
+            probe=np.array([0, compiled.num_draws - 1], dtype=np.int64),
+        )
+        arguments.update(fixed)
+        arguments.update(overrides)
+        return _KERNEL.draw_worlds(**arguments)
+
+    return call
+
+
+@requires_jump_ahead
+def test_jump_ahead_reader_rejects_bad_arguments():
+    """A window of worlds reads the stream; a non-PCG64 layer, layers that
+    miss the draws, a probe outside them and a negative window are refused."""
+    engine = CompiledCascadeEngine(_fixed_graph().compiled(), NUM_WORLDS, seed=3)
+    sampler = engine.sampler
+    width = sampler.compiled.num_draws
+    state = sampler.state
+    ends = np.array([0, width - 1], dtype=np.int64)
+    call = _draw_entry(engine)
+
+    _, _, probed = call(first=2, count=3)
+    assert probed.shape == (3, 2)
+    np.testing.assert_array_equal(probed, stream_draws(sampler, ends, 5)[2:])
+    with pytest.raises(ValueError, match="PCG64"):
+        call(layers=((np.random.MT19937(3).state, width),))
+    with pytest.raises(ValueError, match="do not cover"):
+        call(layers=((state, width - 1),))
+    with pytest.raises(ValueError, match="do not cover"):
+        call(layers=((state, width + 1), (state, -1)))
+    with pytest.raises(ValueError, match="probe"):
+        call(probe=np.array([width], dtype=np.int64))
+    with pytest.raises(ValueError, match="probe"):
+        call(probe=np.array([-1], dtype=np.int64))
+    with pytest.raises(ValueError, match="worlds"):
+        call(first=-1)
+    with pytest.raises(ValueError, match="worlds"):
+        call(count=-1)
+    with pytest.raises(TypeError, match="int64"):
+        call(probe=ends.astype(np.int32))
+
+
+@requires_jump_ahead
+def test_evolve_entry_rejects_bad_arguments():
+    """The draw entry given an old block: every row copied, or every row
+    scanned, is the old block; a malformed or partial old block, source or
+    remap is refused."""
+    engine = CompiledCascadeEngine(_fixed_graph().compiled(), NUM_WORLDS, seed=3)
+    [(_, _, block)] = engine.world_blocks()
+    num_nodes = engine.sampler.compiled.num_nodes
+    rows = np.arange(num_nodes, dtype=np.int64)
+    carry = _draw_entry(
+        engine, source=rows, remap=rows, old_targets=block.targets,
+        old_offsets=block.offsets,
+    )
+
+    for source in (rows, np.full(num_nodes, -1, dtype=np.int64)):
+        targets, offsets, _ = carry(source=source)
+        np.testing.assert_array_equal(targets, block.targets)
+        np.testing.assert_array_equal(offsets, block.offsets)
+    with pytest.raises(ValueError, match="needs"):
+        carry(remap=None, old_targets=None, old_offsets=None)
+    with pytest.raises(ValueError, match="old offsets"):
+        carry(old_offsets=block.offsets[0].copy())
+    with pytest.raises(ValueError, match="old offsets"):
+        carry(old_offsets=block.offsets[:-1].copy())
+    with pytest.raises(ValueError, match="old offsets"):
+        carry(old_offsets=block.offsets[:, ::-1].copy())
+    with pytest.raises(ValueError, match="old offsets"):
+        carry(old_targets=block.targets[:-1].copy())
+    with pytest.raises(ValueError, match="old targets"):
+        carry(old_targets=np.full_like(block.targets, num_nodes))
+    with pytest.raises(ValueError, match="source"):
+        carry(source=rows[:-1].copy())
+    with pytest.raises(ValueError, match="source"):
+        carry(source=rows + 1)
+    with pytest.raises(ValueError, match="source"):
+        carry(source=np.full(num_nodes, -2, dtype=np.int64))
+    with pytest.raises(ValueError, match="source"):
+        carry(source=np.zeros(num_nodes, dtype=np.int64))
+    with pytest.raises(ValueError, match="remap"):
+        carry(remap=np.arange(num_nodes + 1, dtype=np.int64))
+    with pytest.raises(ValueError, match="remap"):
+        carry(remap=rows + 1)
+    with pytest.raises(ValueError, match="retires"):
+        carry(remap=np.full(num_nodes, -1, dtype=np.int64))
+    with pytest.raises(TypeError, match="int32"):
+        carry(old_targets=block.targets.astype(np.int64))
