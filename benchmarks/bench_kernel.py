@@ -79,7 +79,7 @@ from repro.diffusion.reconcile import dirty_probe
 from repro.experiments.reporting import format_table
 from repro.experiments.scalability import synthetic_scenario
 from repro.graph.events import (
-    EdgeAdd, EdgeDrop, EdgeReweight, GraphEventBatch, NodeAdd, compute_application,
+    EdgeAdd, EdgeDrop, EdgeReweight, GraphEventBatch, NodeAdd,
 )
 from repro.utils.timer import Timer
 
@@ -281,8 +281,9 @@ def test_kernel_vs_interpreted_throughput(report):
             assert np.array_equal(native_block.targets, numpy_block.targets)
             assert np.array_equal(native_block.offsets, numpy_block.offsets)
 
-        application = compute_application(
-            compiled, _event_batch(scenario.graph, BENCH_SEED)
+        # A copy compiles to the same snapshot; the batch evolves the copy.
+        application = scenario.graph.copy().apply_events(
+            _event_batch(scenario.graph, BENCH_SEED)
         )
         evolved = sampler.rekey(application.compiled, application.num_new_draws)
         positions, _ = dirty_probe(application)

@@ -425,7 +425,7 @@ def cmd_events(args: argparse.Namespace) -> str:
         # so map decimal strings onto existing int nodes (same rule as the
         # server's node resolution). Unknown ids pass through verbatim —
         # edge_add / node_add legitimately introduce new nodes.
-        if value not in graph and isinstance(value, str):
+        if isinstance(value, str) and value not in graph:
             try:
                 as_int = int(value)
             except ValueError:

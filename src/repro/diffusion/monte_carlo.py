@@ -460,7 +460,7 @@ class MonteCarloEstimator(BenefitEstimator):
         CSR cache) and then reconciles this estimator onto the evolved graph
         via :meth:`reconcile`.  A batch that retires a seed or a coupon
         holder of the snapshot base is refused with :class:`EstimationError`
-        before anything changes.
+        before the replay's first mutation, so nothing changes.
         """
         delta = self._delta
         if delta is not None and delta.has_snapshot:

@@ -100,7 +100,7 @@ class CompiledGraph:
         self.sc_costs = sc_costs
         #: Width of one world's coin-flip stream.  Equals ``num_edges`` for a
         #: freshly compiled graph; grows past it on graphs evolved through
-        #: event batches (:func:`repro.graph.events.compute_application`),
+        #: event batches (:func:`repro.graph.events.apply_batch`),
         #: where dropped edges leave permanent holes in the draw-position
         #: space so that surviving edges keep their draw positions — and
         #: therefore their coin flips — across versions.

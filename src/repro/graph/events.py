@@ -1,4 +1,4 @@
-"""Typed graph-mutation event batches and the delta CSR recompiler.
+"""Typed graph-mutation event batches and their one interpreter.
 
 A live campaign's graph churns: edges appear and disappear, influence
 probabilities drift, users join and leave.  Rebuilding the compiled CSR
@@ -6,16 +6,15 @@ snapshot — and worse, every per-world cascade snapshot built on it — from
 scratch on each change is what froze the graph until now.  This module is
 the ingestion path:
 
-* :class:`GraphEventBatch` — an ordered batch of typed events (edge
-  add/drop/reweight, node add/retire) with **tolerant** semantics: self-loop
-  adds, drops/reweights of absent edges and retires of absent nodes are
-  skipped, node adds upsert.  The same semantics apply whether the batch is
-  replayed onto a :class:`~repro.graph.social_graph.SocialGraph` (the
-  reference path) or delta-applied to a compiled snapshot, which is what the
-  parity test harness pins.
-* :func:`compute_application` — applies a batch to a
-  :class:`~repro.graph.csr.CompiledGraph` *without recompiling from
-  scratch*: only the touched CSR rows are rebuilt; runs of untouched rows
+* :class:`GraphEventBatch` — an ordered, validated batch of typed events
+  (edge add/drop/reweight, node add/retire) with **tolerant** semantics:
+  self-loop adds, drops/reweights of absent edges and retires of absent
+  nodes are skipped, node adds upsert.
+* :func:`apply_batch` — the one interpreter of those semantics.  It replays
+  the batch once through the :class:`~repro.graph.social_graph.SocialGraph`'s
+  own mutators, recording as it goes what the CSR needs, then assembles the
+  evolved :class:`~repro.graph.csr.CompiledGraph` *without recompiling from
+  scratch*: only the changed CSR rows are rebuilt; runs of unchanged rows
   are copied in bulk array slices (and for attribute-only batches the whole
   topology is aliased zero-copy); the result also carries the old→new
   node-index remap table.
@@ -29,16 +28,16 @@ the ingestion path:
   a world is only dirty if a changed edge's flip actually flips its live
   set, which is exactly what :mod:`repro.diffusion.reconcile` tests.
 
-The :class:`EventApplication` returned by the apply paths records everything
-downstream layers need: the evolved snapshot, the remap table, the retired
-old indices, and the per-edge draw-position records (added / dropped /
-reweighted) that the dirty-world rule keys on.
+The :class:`EventApplication` that :func:`apply_batch` returns records
+everything downstream layers need: the evolved snapshot, the remap table,
+the retired old indices, and the per-edge draw-position records (added /
+dropped / reweighted) that the dirty-world rule keys on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +58,7 @@ __all__ = [
     "GraphEvent",
     "GraphEventBatch",
     "EventApplication",
-    "compute_application",
+    "apply_batch",
 ]
 
 
@@ -124,25 +123,36 @@ _EVENT_TYPES = {
     "node_add": NodeAdd,
     "node_retire": NodeRetire,
 }
+_EVENT_NAMES = {kind: name for name, kind in _EVENT_TYPES.items()}
 
 
 class GraphEventBatch:
     """An ordered, validated batch of graph events.
 
     Events apply strictly in order (a drop-then-re-add is a re-keyed edge
-    with a fresh draw position, not a no-op).  Probabilities are validated
-    at construction so a malformed batch never half-applies.
+    with a fresh draw position, not a no-op).  Every event is checked at
+    construction: node ids must be hashable and probabilities in ``[0, 1]``.
+    A bad event raises :class:`GraphError` naming its index and type, so a
+    batch that was built never half-applies.
     """
 
     __slots__ = ("events",)
 
     def __init__(self, events: Iterable[GraphEvent]) -> None:
         events = tuple(events)
-        for event in events:
-            if isinstance(event, (EdgeAdd, EdgeReweight)):
-                require_probability(event.probability, "probability")
-            elif not isinstance(event, (EdgeDrop, NodeAdd, NodeRetire)):
-                raise GraphError(f"unknown graph event {event!r}")
+        for position, event in enumerate(events):
+            try:
+                if isinstance(event, (EdgeAdd, EdgeReweight)):
+                    require_probability(event.probability, "probability")
+                elif not isinstance(event, (EdgeDrop, NodeAdd, NodeRetire)):
+                    raise TypeError("not a graph event")
+                # Node ids key the graph's dicts, so an unhashable one would
+                # fail in the middle of a replay; a frozen event hashes its
+                # fields.
+                hash(event)
+            except (TypeError, ValueError) as error:
+                name = _EVENT_NAMES.get(type(event), type(event).__name__)
+                raise GraphError(f"graph event {position} ({name}): {error}") from None
         self.events = events
 
     def __len__(self) -> int:
@@ -160,14 +170,21 @@ class GraphEventBatch:
         fields.  ``node_add`` accepts optional ``benefit`` / ``seed_cost`` /
         ``sc_cost``; when any is present the node's attributes are replaced
         (absent fields default to 0.0), when none are it is a bare upsert.
+        A malformed entry raises :class:`GraphError` naming its index and
+        type.
         """
         events: List[GraphEvent] = []
-        for payload in payloads:
-            kind = payload.get("type")
-            if kind not in _EVENT_TYPES:
+        for position, payload in enumerate(payloads):
+            if not isinstance(payload, Mapping):
                 raise GraphError(
-                    f"unknown graph event type {kind!r}; expected one of "
-                    f"{sorted(_EVENT_TYPES)}"
+                    f"graph event {position} must be an object, got "
+                    f"{type(payload).__name__}"
+                )
+            kind = payload.get("type")
+            if not isinstance(kind, str) or kind not in _EVENT_TYPES:
+                raise GraphError(
+                    f"graph event {position} has unknown type {kind!r}; "
+                    f"expected one of {sorted(_EVENT_TYPES)}"
                 )
             try:
                 if kind == "edge_add":
@@ -203,37 +220,16 @@ class GraphEventBatch:
                     events.append(NodeRetire(payload["node"]))
             except KeyError as error:
                 raise GraphError(
-                    f"graph event {kind!r} is missing field {error.args[0]!r}"
+                    f"graph event {position} ({kind}) is missing field "
+                    f"{error.args[0]!r}"
                 ) from None
+            except (TypeError, ValueError) as error:
+                raise GraphError(f"graph event {position} ({kind}): {error}") from None
         return cls(events)
-
-    def apply_to_graph(self, graph: SocialGraph) -> None:
-        """Replay the batch onto a :class:`SocialGraph` (reference path).
-
-        Applies the exact tolerant semantics of the compiled delta path —
-        this is what the event-parity property suite replays a mutated copy
-        through to pin the two paths together.
-        """
-        for event in self.events:
-            if isinstance(event, EdgeAdd):
-                if event.source == event.target:
-                    continue
-                graph.add_edge(event.source, event.target, event.probability)
-            elif isinstance(event, EdgeDrop):
-                if graph.has_edge(event.source, event.target):
-                    graph.remove_edge(event.source, event.target)
-            elif isinstance(event, EdgeReweight):
-                if graph.has_edge(event.source, event.target):
-                    graph.add_edge(event.source, event.target, event.probability)
-            elif isinstance(event, NodeAdd):
-                graph.add_node(event.node, event.attributes)
-            else:  # NodeRetire
-                if event.node in graph:
-                    graph.remove_node(event.node)
 
 
 class EventApplication:
-    """The record of one batch applied to one compiled snapshot.
+    """The record of one batch replayed onto a graph and its compiled snapshot.
 
     Attributes
     ----------
@@ -309,314 +305,184 @@ class EventApplication:
         )
 
 
-def compute_application(
-    compiled: CompiledGraph, batch: GraphEventBatch
-) -> EventApplication:
-    """Delta-apply ``batch`` to ``compiled``; neither input is mutated.
+def apply_batch(graph: SocialGraph, batch: GraphEventBatch) -> EventApplication:
+    """Replay ``batch`` onto ``graph`` once and evolve its compiled snapshot.
 
-    The evolved snapshot is bit-identical (indptr/indices/probs and the
-    attribute vectors; ``edge_pos`` intentionally differs) to compiling the
-    equivalently mutated :class:`SocialGraph` from scratch, but only touched
-    rows are rebuilt — untouched row runs are bulk slice copies, and a batch
-    that changes no topology aliases every topology array zero-copy.
+    ``graph`` is compiled first (free when its snapshot is cached), then
+    mutated in place, event by event, through its own mutators.  No mutator
+    can raise on a batch :class:`GraphEventBatch` validated: a self-loop add,
+    a drop or reweight of an absent edge and a retire of an absent node are
+    skipped before any mutator sees them, so a batch never half-applies.
+
+    As it goes the replay records what the CSR needs: the sources whose
+    out-row changed, the draw position and old probability of every old
+    edge it removes (a drop, or a retire of either endpoint), the old nodes
+    it retires and the nodes a ``NodeAdd`` gave attributes.  A node retired
+    and added back in the same batch is a new node: its old edges and draw
+    positions are gone.
+
+    The evolved snapshot is then assembled from the mutated graph.  Node
+    order is the graph's insertion order: survivors keep theirs, new nodes
+    append.  It equals a from-scratch compile of that graph in every array
+    but ``edge_pos`` (draw positions persist across versions), but only the
+    changed rows are read off the graph; unchanged rows are bulk slice
+    copies, and a batch that changes no topology aliases every topology
+    array zero-copy.
     """
-    node_ids = compiled.node_ids
-    index = compiled.index
-    indptr = compiled.indptr
-    indices = compiled.indices
-    probs = compiled.probs
-    edge_pos = compiled.edge_pos
-    old_n = compiled.num_nodes
-    old_num_draws = compiled.num_draws
+    old = graph.compiled()
+    old_index = old.index
+    indptr, indices, probs, edge_pos = old.indptr, old.indices, old.probs, old.edge_pos
+    changed: Set[NodeId] = set()
+    removed: Dict[int, float] = {}
+    retired: Set[int] = set()
+    attributed: Set[NodeId] = set()
+    rows: Dict[int, Dict[int, Tuple[int, float]]] = {}
 
-    # Nodes are tracked as tokens: ("o", old_index) for originals, ("n", k)
-    # for nodes created by the batch (including re-added retirees, which are
-    # genuinely new nodes — their old edges and draw positions are gone).
-    order: "Dict[Tuple[str, int], None]" = {("o", i): None for i in range(old_n)}
-    current: Dict[NodeId, Tuple[str, int]] = {
-        node: ("o", i) for i, node in enumerate(node_ids)
-    }
-    new_ids: List[NodeId] = []
-    # Materialised (touched) out-rows: token -> {target_token: [current_prob,
-    # draw_pos | None, original_prob]}.  A row enters this dict the moment an
-    # event touches it (or a retire forces it) and is rebuilt in the output;
-    # rows never materialised are copied from the old CSR wholesale.
-    rows: Dict[Tuple[str, int], Dict[Tuple[str, int], List]] = {}
-    attr_overrides: Dict[Tuple[str, int], NodeAttributes] = {}
-    dropped: Dict[int, float] = {}
-    retired_old: List[int] = []
+    def old_of(node: NodeId) -> int:
+        """``node``'s index in the old snapshot, ``-1`` if it is not an old node."""
+        position = old_index.get(node, -1)
+        return -1 if position in retired else position
 
-    def id_of(token: Tuple[str, int]) -> NodeId:
-        return node_ids[token[1]] if token[0] == "o" else new_ids[token[1]]
-
-    def ensure(node: NodeId) -> Tuple[str, int]:
-        token = current.get(node)
-        if token is None:
-            token = ("n", len(new_ids))
-            new_ids.append(node)
-            order[token] = None
-            current[node] = token
-        return token
-
-    def materialize(token: Tuple[str, int]) -> Dict:
-        row = rows.get(token)
+    def old_row(source: int) -> Dict[int, Tuple[int, float]]:
+        """Old CSR row ``source`` as ``target -> (draw position, probability)``."""
+        row = rows.get(source)
         if row is None:
-            row = {}
-            if token[0] == "o":
-                source = token[1]
-                for slot in range(int(indptr[source]), int(indptr[source + 1])):
-                    target = ("o", int(indices[slot]))
-                    # Retired targets were already popped (with their drop
-                    # recorded) when the retire materialised this row's
-                    # in-edge sources — a target absent from `order` here can
-                    # only be one whose drop is already on the books.
-                    if target in order:
-                        probability = float(probs[slot])
-                        row[target] = [probability, int(edge_pos[slot]), probability]
-            rows[token] = row
+            lo, hi = int(indptr[source]), int(indptr[source + 1])
+            row = rows[source] = dict(
+                zip(
+                    indices[lo:hi].tolist(),
+                    zip(edge_pos[lo:hi].tolist(), probs[lo:hi].tolist()),
+                )
+            )
         return row
 
-    def csr_has_edge(s_token: Tuple[str, int], t_token: Tuple[str, int]) -> bool:
-        if s_token[0] != "o" or t_token[0] != "o":
-            return False
-        source = s_token[1]
-        lo, hi = int(indptr[source]), int(indptr[source + 1])
-        return bool(np.any(indices[lo:hi] == t_token[1]))
-
-    def drop_record(record: List) -> None:
-        if record[1] is not None:
-            dropped[record[1]] = record[2]
-
-    def retire(token: Tuple[str, int]) -> None:
-        # Out-edges: every one still alive is dropped.
-        out_row = materialize(token)
-        for record in out_row.values():
-            drop_record(record)
-        del rows[token]
-        # In-edges still living in un-materialised old CSR rows: force those
-        # rows into `rows` while the token is still alive, so the edges (and
-        # their draw positions) are seen before the pop below removes them.
-        if token[0] == "o":
-            for slot in np.flatnonzero(indices == token[1]):
-                source = int(np.searchsorted(indptr, int(slot), side="right")) - 1
-                s_token = ("o", source)
-                if s_token in order and s_token not in rows:
-                    materialize(s_token)
-        # Pop the token as a target from every materialised row.
-        for other in rows.values():
-            record = other.pop(token, None)
-            if record is not None:
-                drop_record(record)
-        del order[token]
-        node = id_of(token)
-        if current.get(node) is token:
-            del current[node]
-        attr_overrides.pop(token, None)
-        if token[0] == "o":
-            retired_old.append(token[1])
+    def forget(source: NodeId, target: NodeId) -> None:
+        """Record the old edge ``source -> target``, if there is one, as removed."""
+        first = old_of(source)
+        entry = old_row(first).get(old_of(target)) if first >= 0 else None
+        if entry is not None:
+            removed[entry[0]] = entry[1]
 
     for event in batch.events:
-        if isinstance(event, EdgeAdd):
-            if event.source == event.target:
-                continue
-            s_token = ensure(event.source)
-            t_token = ensure(event.target)
-            row = materialize(s_token)
-            record = row.get(t_token)
-            if record is not None:
-                record[0] = float(event.probability)
-            else:
-                row[t_token] = [float(event.probability), None, None]
-        elif isinstance(event, (EdgeDrop, EdgeReweight)):
-            s_token = current.get(event.source)
-            t_token = current.get(event.target)
-            if s_token is None or t_token is None:
-                continue
-            if s_token in rows:
-                row = rows[s_token]
-                if t_token not in row:
-                    continue
-            elif csr_has_edge(s_token, t_token):
-                row = materialize(s_token)
-            else:
-                continue
-            if isinstance(event, EdgeDrop):
-                drop_record(row.pop(t_token))
-            else:
-                row[t_token][0] = float(event.probability)
-        elif isinstance(event, NodeAdd):
-            token = ensure(event.node)
+        if isinstance(event, NodeAdd):
+            graph.add_node(event.node, event.attributes)
             if event.attributes is not None:
-                attr_overrides[token] = event.attributes
-        else:  # NodeRetire
-            token = current.get(event.node)
-            if token is not None:
-                retire(token)
+                attributed.add(event.node)
+        elif isinstance(event, NodeRetire):
+            node = event.node
+            if node not in graph:
+                continue
+            sources = graph.in_neighbors(node)
+            for source in sources:
+                forget(source, node)
+            for target in graph.out_neighbors(node):
+                forget(node, target)
+            if old_of(node) >= 0:
+                retired.add(old_index[node])
+            graph.remove_node(node)
+            changed.update(sources)
+            changed.discard(node)
+            attributed.discard(node)
+        elif isinstance(event, EdgeAdd):
+            if event.source != event.target:
+                graph.add_edge(event.source, event.target, event.probability)
+                changed.add(event.source)
+        elif graph.has_edge(event.source, event.target):  # EdgeDrop, EdgeReweight
+            if isinstance(event, EdgeDrop):
+                forget(event.source, event.target)
+                graph.remove_edge(event.source, event.target)
+            else:
+                graph.add_edge(event.source, event.target, event.probability)
+            changed.add(event.source)
 
-    tokens = list(order)
-    n_new = len(tokens)
-    new_index = {token: position for position, token in enumerate(tokens)}
+    node_ids = list(graph.nodes())
+    old_n, n = old.num_nodes, len(node_ids)
+    keep = np.ones(old_n, dtype=bool)
+    keep[list(retired)] = False
+    survivors = np.flatnonzero(keep)
     remap = np.full(old_n, -1, dtype=np.int64)
-    for token, position in new_index.items():
-        if token[0] == "o":
-            remap[token[1]] = position
-    identity = not retired_old
+    remap[survivors] = np.arange(survivors.size)
 
-    # Attribute-only / no-op fast path: nothing structural moved, so the
-    # whole topology is aliased zero-copy.
-    if not rows and identity and not new_ids:
-        if not attr_overrides:
-            evolved = compiled
-        else:
-            benefits = compiled.benefits.copy()
-            seed_costs = compiled.seed_costs.copy()
-            sc_costs = compiled.sc_costs.copy()
-            for token, attrs in attr_overrides.items():
-                position = new_index[token]
-                benefits[position] = attrs.benefit
-                seed_costs[position] = attrs.seed_cost
-                sc_costs[position] = attrs.sc_cost
-            evolved = CompiledGraph(
-                node_ids=node_ids,
-                indptr=indptr,
-                indices=indices,
-                probs=probs,
-                edge_pos=edge_pos,
-                benefits=benefits,
-                seed_costs=seed_costs,
-                sc_costs=sc_costs,
-                num_draws=old_num_draws,
-            )
+    reshaped = bool(changed or retired) or n > old_n
+    if not reshaped and not attributed:
         return EventApplication(
-            evolved,
-            remap,
-            added=[],
-            dropped=[],
-            reweighted=[],
-            retired=(),
-            rebuilt=(),
-            num_new_draws=0,
+            old, remap, added=[], dropped=[], reweighted=[], retired=(),
+            rebuilt=(), num_new_draws=0,
         )
-
-    # Assign fresh draw positions to new edges — deterministically: final
-    # node order, within each touched row the ranked (hand-off) order — and
-    # collect the changed-edge records.
+    new_index = {node: position for position, node in enumerate(node_ids)}
     added: List[Tuple[int, float]] = []
     reweighted: List[Tuple[int, float, float]] = []
-    row_sorted: Dict[Tuple[str, int], List] = {}
-    next_position = old_num_draws
-    for token in tokens:
-        row = rows.get(token)
-        if row is None:
-            continue
-        entries = sorted(
-            row.items(), key=lambda item: (-item[1][0], str(id_of(item[0])))
-        )
-        row_sorted[token] = entries
-        for _, record in entries:
-            if record[1] is None:
-                record[1] = next_position
-                next_position += 1
-                added.append((record[1], record[0]))
-            elif record[0] != record[2]:
-                reweighted.append((record[1], record[2], record[0]))
-    num_new_draws = next_position - old_num_draws
+    rebuilt: List[int] = []
+    num_draws = old.num_draws
+    topology = (indptr, indices, probs, edge_pos)
+    if reshaped:
+        rebuilt = sorted(new_index[node] for node in changed)
+        degrees = np.zeros(n, dtype=np.int64)
+        degrees[: survivors.size] = np.diff(indptr)[survivors]
+        for position in rebuilt:
+            degrees[position] = graph.out_degree(node_ids[position])
+        new_indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=new_indptr[1:])
+        num_edges = int(new_indptr[-1])
+        new_indices = np.empty(num_edges, dtype=np.int64)
+        new_probs = np.empty(num_edges, dtype=np.float64)
+        new_edge_pos = np.empty(num_edges, dtype=np.int64)
 
-    degrees = np.empty(n_new, dtype=np.int64)
-    for position, token in enumerate(tokens):
-        row = rows.get(token)
-        if row is not None:
-            degrees[position] = len(row)
-        elif token[0] == "o":
-            source = token[1]
-            degrees[position] = int(indptr[source + 1] - indptr[source])
-        else:
-            degrees[position] = 0
-    indptr_new = np.zeros(n_new + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr_new[1:])
-    num_edges_new = int(indptr_new[-1])
-    indices_new = np.empty(num_edges_new, dtype=np.int64)
-    probs_new = np.empty(num_edges_new, dtype=np.float64)
-    edge_pos_new = np.empty(num_edges_new, dtype=np.int64)
+        # Unchanged survivor rows: one bulk copy per run of consecutive old
+        # rows, the runs cut at every retired or changed row.
+        start = 0
+        holes = retired.union(old_of(node) for node in changed)
+        for stop in sorted(holes - {-1}) + [old_n]:
+            if start < stop:
+                lo, hi = int(indptr[start]), int(indptr[stop])
+                at = int(new_indptr[remap[start]])
+                new_indices[at : at + hi - lo] = remap[indices[lo:hi]]
+                new_probs[at : at + hi - lo] = probs[lo:hi]
+                new_edge_pos[at : at + hi - lo] = edge_pos[lo:hi]
+            start = stop + 1
 
-    position = 0
-    while position < n_new:
-        token = tokens[position]
-        entries = row_sorted.get(token)
-        if entries is not None:
-            cursor = int(indptr_new[position])
-            for t_token, record in entries:
-                indices_new[cursor] = new_index[t_token]
-                probs_new[cursor] = record[0]
-                edge_pos_new[cursor] = record[1]
-                cursor += 1
-            position += 1
-            continue
-        if token[0] == "n":
-            position += 1
-            continue
-        # A run of consecutive untouched original rows whose old indices are
-        # also consecutive: one bulk slice copy per run.
-        run_start = position
-        first_old = token[1]
-        while position < n_new:
-            token = tokens[position]
-            if (
-                token[0] != "o"
-                or token in rows
-                or token[1] != first_old + (position - run_start)
-            ):
-                break
-            position += 1
-        old_lo = int(indptr[first_old])
-        old_hi = int(indptr[first_old + (position - run_start)])
-        new_lo = int(indptr_new[run_start])
-        span = old_hi - old_lo
-        if identity:
-            indices_new[new_lo : new_lo + span] = indices[old_lo:old_hi]
-        else:
-            indices_new[new_lo : new_lo + span] = remap[indices[old_lo:old_hi]]
-        probs_new[new_lo : new_lo + span] = probs[old_lo:old_hi]
-        edge_pos_new[new_lo : new_lo + span] = edge_pos[old_lo:old_hi]
+        # Changed rows, in hand-off order.  An old edge between survivors that
+        # no event removed keeps its draw position; every other edge takes a
+        # fresh one past the old width, in node order and then ranked order.
+        for position in rebuilt:
+            node = node_ids[position]
+            source = old_of(node)
+            row = old_row(source) if source >= 0 else {}
+            ranked = graph.ranked_out_neighbors(node)
+            draws = []
+            for target, probability in ranked:
+                entry = row.get(old_of(target))
+                if entry is not None and entry[0] not in removed:
+                    if entry[1] != probability:
+                        reweighted.append((entry[0], entry[1], probability))
+                    draws.append(entry[0])
+                else:
+                    added.append((num_draws, probability))
+                    draws.append(num_draws)
+                    num_draws += 1
+            lo = int(new_indptr[position])
+            new_indices[lo : lo + len(ranked)] = [new_index[t] for t, _ in ranked]
+            new_probs[lo : lo + len(ranked)] = [p for _, p in ranked]
+            new_edge_pos[lo : lo + len(ranked)] = draws
+        topology = (new_indptr, new_indices, new_probs, new_edge_pos)
 
-    # Attribute vectors: survivors (a prefix of the new order) are gathered
-    # from the old vectors, new nodes default to zero attributes, explicit
-    # NodeAdd attributes override either.
-    survivors = np.array(
-        [token[1] for token in tokens if token[0] == "o"], dtype=np.int64
-    )
-    benefits_new = np.zeros(n_new, dtype=np.float64)
-    seed_costs_new = np.zeros(n_new, dtype=np.float64)
-    sc_costs_new = np.zeros(n_new, dtype=np.float64)
-    if survivors.size:
-        benefits_new[: survivors.size] = compiled.benefits[survivors]
-        seed_costs_new[: survivors.size] = compiled.seed_costs[survivors]
-        sc_costs_new[: survivors.size] = compiled.sc_costs[survivors]
-    for token, attrs in attr_overrides.items():
-        slot = new_index[token]
-        benefits_new[slot] = attrs.benefit
-        seed_costs_new[slot] = attrs.seed_cost
-        sc_costs_new[slot] = attrs.sc_cost
-
-    evolved = CompiledGraph(
-        node_ids=[id_of(token) for token in tokens],
-        indptr=indptr_new,
-        indices=indices_new,
-        probs=probs_new,
-        edge_pos=edge_pos_new,
-        benefits=benefits_new,
-        seed_costs=seed_costs_new,
-        sc_costs=sc_costs_new,
-        num_draws=old_num_draws + num_new_draws,
-    )
+    # Attribute vectors: survivors are gathered from the old vectors; new
+    # nodes and the nodes a NodeAdd gave attributes are read off the graph.
+    vectors = [np.zeros(n, dtype=np.float64) for _ in range(3)]
+    for vector, old_vector in zip(vectors, (old.benefits, old.seed_costs, old.sc_costs)):
+        vector[: survivors.size] = old_vector[survivors]
+    for position in [*range(survivors.size, n), *(new_index[node] for node in attributed)]:
+        attrs = graph.attributes(node_ids[position])
+        for vector, value in zip(vectors, (attrs.benefit, attrs.seed_cost, attrs.sc_cost)):
+            vector[position] = value
+    evolved = CompiledGraph(node_ids, *topology, *vectors, num_draws=num_draws)
     return EventApplication(
         evolved,
         remap,
         added=added,
-        dropped=sorted(dropped.items()),
+        dropped=sorted(removed.items()),
         reweighted=reweighted,
-        retired=tuple(sorted(retired_old)),
-        rebuilt=tuple(sorted(new_index[token] for token in rows)),
-        num_new_draws=num_new_draws,
+        retired=tuple(sorted(retired)),
+        rebuilt=tuple(rebuilt),
+        num_new_draws=num_draws - old.num_draws,
     )
-

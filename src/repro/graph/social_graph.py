@@ -196,23 +196,20 @@ class SocialGraph:
     def apply_events(self, batch):
         """Apply a :class:`repro.graph.events.GraphEventBatch` in place.
 
-        The batch is applied to the adjacency dicts *and*, when a compiled
-        snapshot is cached, to the CSR via the delta recompiler — the evolved
-        snapshot is installed as the new cache, so the next :meth:`compiled`
-        call is free.  Returns the :class:`repro.graph.events.EventApplication`
-        describing the evolution (remap table, draw-position records).
+        Always compiles first (free when the snapshot is cached), then
+        replays the batch once through this graph's own mutators
+        (:func:`repro.graph.events.apply_batch`), which evolves the CSR from
+        what the replay recorded.  The evolved snapshot is installed as the
+        new cache, so the next :meth:`compiled` call is free.  Returns the
+        :class:`repro.graph.events.EventApplication` describing the
+        evolution (remap table, draw-position records).
         """
-        from repro.graph.events import compute_application
+        from repro.graph.events import apply_batch
 
-        application = compute_application(self.compiled(), batch)
-        batch.apply_to_graph(self)
-        self._install_compiled(application.compiled)
-        return application
-
-    def _install_compiled(self, compiled) -> None:
-        """Adopt an externally evolved snapshot as the current cache."""
-        self._compiled_cache = compiled
+        application = apply_batch(self, batch)
+        self._compiled_cache = application.compiled
         self._compiled_versions = (self._topology_version, self._attribute_version)
+        return application
 
     @property
     def num_nodes(self) -> int:

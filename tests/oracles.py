@@ -28,6 +28,11 @@ state; :func:`dict_rr_estimator` builds an
 coin flips at given draw positions the slow way: every layer's stream from
 its frozen state, world after world, with no skip-ahead.  The draws an event
 batch's block redraw reports at its probe positions must equal it.
+
+:func:`replay_events` replays a graph-event batch onto a
+:class:`~repro.graph.social_graph.SocialGraph` under the tolerant event rules
+and records nothing.  A cold compile of the graph it leaves is what the
+snapshot :func:`repro.graph.events.apply_batch` evolves must equal.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from repro.diffusion import rr_sets
 from repro.diffusion.engine import WorldSampler
 from repro.diffusion.live_edge import cascade_in_world, sample_worlds
 from repro.diffusion.rr_sets import RRBenefitEstimator, RRSetSampler
+from repro.graph.events import EdgeAdd, EdgeDrop, EdgeReweight, NodeAdd
 from repro.graph.social_graph import SocialGraph
 from repro.utils.rng import SeedLike
 
@@ -235,3 +241,24 @@ def dict_rr_estimator(
     """An :class:`RRBenefitEstimator` whose sketch :class:`DictRRSampler` samples."""
     with mock.patch.object(rr_sets, "RRSetSampler", DictRRSampler):
         return RRBenefitEstimator(graph, num_sets=num_sets, seed=seed)
+
+
+def replay_events(graph: SocialGraph, batch) -> None:
+    """Replay ``batch`` onto ``graph``: skip a self-loop add, a drop or
+    reweight of an absent edge and a retire of an absent node; upsert a node
+    add."""
+    for event in batch.events:
+        if isinstance(event, EdgeAdd):
+            if event.source != event.target:
+                graph.add_edge(event.source, event.target, event.probability)
+        elif isinstance(event, (EdgeDrop, EdgeReweight)):
+            if not graph.has_edge(event.source, event.target):
+                continue
+            if isinstance(event, EdgeDrop):
+                graph.remove_edge(event.source, event.target)
+            else:
+                graph.add_edge(event.source, event.target, event.probability)
+        elif isinstance(event, NodeAdd):
+            graph.add_node(event.node, event.attributes)
+        elif event.node in graph:  # NodeRetire
+            graph.remove_node(event.node)

@@ -1,19 +1,22 @@
 """Property tests: the delta CSR recompile is *identical* to a full rebuild.
 
-:meth:`SocialGraph.apply_events` evolves the cached
-:class:`~repro.graph.csr.CompiledGraph` through the delta recompiler
-(:func:`repro.graph.events.compute_application`): touched rows are rebuilt,
-untouched rows are copied as bulk runs, survivors keep their node indices
-(prefix order) and surviving edges keep their persistent draw positions.
-The contract is not "equivalent" but **identical**: the evolved snapshot's
-adjacency and attribute arrays must equal, element for element, a from-scratch
-compile of the same mutated graph — across duplicate adds, self-loop skips,
-drops of absent edges, reweights, node churn, and retire-then-re-add of the
-same identifier.
+:meth:`SocialGraph.apply_events` replays a batch once through the graph's
+own mutators and evolves the cached :class:`~repro.graph.csr.CompiledGraph`
+from what the replay recorded (:func:`repro.graph.events.apply_batch`):
+changed rows are rebuilt, unchanged rows are copied as bulk runs, survivors
+keep their node indices (prefix order) and surviving edges keep their
+persistent draw positions.  The contract is not "equivalent" but
+**identical**: the evolved snapshot's adjacency and attribute arrays must
+equal, element for element, a from-scratch compile of a copy that
+:func:`tests.oracles.replay_events` mutated the same way — across duplicate
+adds, self-loop skips, drops of absent edges, reweights, node churn, and
+retire-then-re-add of the same identifier.
 
 Only ``edge_pos`` legitimately differs from a cold compile (positions are
 persistent across versions, a cold compile numbers them 0..E-1); the tests pin
 its invariants instead: uniqueness, bounds, stability for surviving edges.
+The application's records (added, dropped, reweighted, retired, rebuilt) are
+read back off the old and new snapshots alone.
 """
 
 import hypothesis.strategies as st
@@ -30,6 +33,7 @@ from repro.graph.events import (
 )
 from repro.graph.attributes import NodeAttributes
 from repro.graph.social_graph import SocialGraph
+from tests.oracles import replay_events
 
 
 @st.composite
@@ -127,7 +131,7 @@ def test_delta_recompile_identical_to_full_rebuild(data_instance):
     evolved = graph.compiled()
     assert evolved is application.compiled
 
-    batch.apply_to_graph(replica)
+    replay_events(replica, batch)
     fresh = replica.compiled()
     _assert_csr_identical(evolved, fresh)
 
@@ -185,11 +189,78 @@ def test_two_chained_batches_stay_identical(first_instance, second_instance):
     graph.apply_events(second_batch)
     evolved = graph.compiled()
 
-    first_batch.apply_to_graph(replica)
-    second_batch.apply_to_graph(replica)
+    replay_events(replica, first_batch)
+    replay_events(replica, second_batch)
     _assert_csr_identical(evolved, replica.compiled())
     positions = np.asarray(evolved.edge_pos)
     assert len(set(positions.tolist())) == positions.shape[0]
+
+
+def _assert_records_read_off_snapshots(old, new, application):
+    """Each record of ``application`` is what its two snapshots imply.
+
+    With ``R`` the remap: ``retired`` lists the old indices ``R`` sends to
+    -1; ``dropped`` the old positions missing from ``new``, with their old
+    probabilities; ``added`` the slots of ``new`` at or past the old width,
+    in CSR order, numbered from that width on; ``reweighted`` the kept
+    positions whose probability changed, in CSR order.  Every surviving row
+    outside ``rebuilt`` equals its old row through ``R`` in targets,
+    probabilities and draw positions: the rows ``draw_worlds`` copies.
+    """
+    remap = application.remap
+    width = old.num_draws
+    assert application.retired == tuple(np.flatnonzero(remap == -1).tolist())
+    old_probs = dict(zip(old.edge_pos.tolist(), old.probs.tolist()))
+    new_probs = dict(zip(new.edge_pos.tolist(), new.probs.tolist()))
+    assert application.dropped == sorted(
+        (position, p) for position, p in old_probs.items() if position not in new_probs
+    )
+    fresh = [(position, p) for position, p in new_probs.items() if position >= width]
+    assert application.added == fresh
+    assert [position for position, _ in fresh] == list(range(width, width + len(fresh)))
+    assert application.num_new_draws == len(fresh)
+    assert new.num_draws == width + len(fresh)
+    assert application.reweighted == [
+        (position, old_probs[position], p)
+        for position, p in new_probs.items()
+        if position < width and old_probs[position] != p
+    ]
+    rebuilt = set(application.rebuilt)
+    for old_row in np.flatnonzero(remap >= 0).tolist():
+        row = int(remap[old_row])
+        if row in rebuilt:
+            continue
+        before = slice(int(old.indptr[old_row]), int(old.indptr[old_row + 1]))
+        after = slice(int(new.indptr[row]), int(new.indptr[row + 1]))
+        np.testing.assert_array_equal(new.indices[after], remap[old.indices[before]])
+        np.testing.assert_array_equal(new.probs[after], old.probs[before])
+        np.testing.assert_array_equal(new.edge_pos[after], old.edge_pos[before])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(instance(), min_size=1, max_size=3))
+def test_records_are_read_off_the_two_snapshots(chain):
+    """Single and chained batches: the first instance's graph takes every
+    instance's batch in turn."""
+    graph = chain[0][0]
+    for _, batch in chain:
+        old = graph.compiled()
+        application = graph.apply_events(batch)
+        _assert_records_read_off_snapshots(old, application.compiled, application)
+
+
+def test_str_twin_targets_tie_like_a_cold_compile():
+    """Targets ``0`` and ``"0"`` at one probability tie on ``str``: the
+    evolved row keeps the graph's edge order, as a cold compile does."""
+    graph = SocialGraph()
+    graph.add_edge(2, 0, 0.25)
+    graph.add_edge(2, "0", 0.5)
+    replica = graph.copy()
+    batch = GraphEventBatch([EdgeReweight(2, "0", 0.25)])
+    graph.compiled()
+    graph.apply_events(batch)
+    replay_events(replica, batch)
+    _assert_csr_identical(graph.compiled(), replica.compiled())
 
 
 def test_attribute_only_batch_aliases_topology():

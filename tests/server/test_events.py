@@ -319,6 +319,34 @@ class TestEventsSafety:
         assert status == 200, body
         assert body["modified"]["expected_benefit"] == benefit
 
+    def test_malformed_node_add_is_422_and_changes_nothing(self, service):
+        """A bad attribute fails the whole batch before the graph changes,
+        even after a valid event earlier in the same batch."""
+        api = CampaignApi(service)
+        sid = _registered(service)
+        _solved(service, sid)
+        entry = service.registry.get(sid)
+        graph = entry.scenario.graph
+
+        def shape():
+            return (entry.events_applied, graph.num_nodes, graph.num_edges,
+                    graph.topology_version)
+
+        before = shape()
+        for field, value in (
+            ("benefit", -1.0), ("seed_cost", float("inf")), ("sc_cost", float("nan"))
+        ):
+            body = {"events": [
+                {"type": "edge_add", "source": "0", "target": "joiner",
+                 "probability": 0.4},
+                {"type": "node_add", "node": "joiner", field: value},
+            ]}
+            with pytest.raises(InvalidRequest) as excinfo:
+                api.apply_events(sid, body)
+            assert excinfo.value.status == 422
+            assert "graph event 1 (node_add)" in str(excinfo.value)
+            assert shape() == before
+
 
 class TestEventsValidation:
     def test_event_type_taxonomy(self):

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (run in-process with tiny settings)."""
 
+import json
 import signal
 
 import pytest
@@ -138,6 +139,32 @@ def test_serve_parser_rejects_bad_port(capsys):
     with pytest.raises(SystemExit):
         parser.parse_args(["serve", "--port", "0"])
     assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "oops",
+        {"type": "edge_add", "source": "0", "target": "7", "probability": "abc"},
+        {"type": "edge_add", "source": "0", "target": "7", "probability": None},
+        {"type": "edge_add", "source": "0", "target": "7", "probability": 1.5},
+        {"type": "node_add", "node": "x", "benefit": -2},
+        {"type": "node_retire", "node": [1]},
+    ],
+    ids=["not-an-object", "probability-abc", "probability-null",
+         "probability-1.5", "negative-benefit", "unhashable-node"],
+)
+def test_events_command_rejects_a_malformed_entry(entry, tmp_path, capsys):
+    """A bad event entry is an ``error:`` line and exit 2, before any solve."""
+    path = tmp_path / "events.json"
+    path.write_text(json.dumps([entry]))
+    assert main([
+        "events", "--dataset", "facebook", "--scale", "0.05", "--samples", "10",
+        "--events-file", str(path),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph event 0 ")
+    assert "Traceback" not in err
 
 
 # ----------------------------------------------------------------------
