@@ -266,6 +266,11 @@ def _scenario_from_args(args: argparse.Namespace, config: ExperimentConfig):
     """The scenario a subcommand runs on: ``--graph`` file or named dataset."""
     graph_path = getattr(args, "graph", None)
     if graph_path is not None:
+        try:
+            with open(graph_path, "rb"):
+                pass
+        except OSError as error:
+            raise ReproError(f"graph file not readable: {error}") from error
         return snap_scenario(
             graph_path,
             budget=config.budget,

@@ -28,6 +28,13 @@ offset, the worlds — and therefore every activation count and expected
 benefit — are **bit-identical** for any shard size, and for any worker count
 (see :mod:`repro.diffusion.parallel`).
 
+One cascade scratch
+-------------------
+The serial engine and every pool worker cascade a block through the same
+:meth:`CascadeScratch.count` (the native kernel's block entry, or the
+interpreted :func:`cascade_block`), each on its own scratch; the engine's
+instrumented cascades advance the engine's scratch too.
+
 Common-random-numbers parity
 ----------------------------
 The engine reproduces the dict path *exactly* for a fixed seed:
@@ -540,12 +547,11 @@ def cascade_block(
 
     Returns ``(flat_activations, stamp)`` — the concatenated activation
     queues of the block's worlds and the last stamp value written into
-    ``visited``.  This is the cascade inner loop shared by the serial engine
-    and the multiprocess workers whenever the native kernel
-    (:mod:`repro.diffusion.kernels`) is disabled or unavailable — and the
-    bit-identity *oracle* the kernel is tested against.  ``visited`` is a
-    stamp-versioned scratch array: the caller owns it and must never reuse a
-    stamp value already written.
+    ``visited``.  This is the cascade inner loop :class:`CascadeScratch` runs
+    whenever the native kernel (:mod:`repro.diffusion.kernels`) is disabled
+    or unavailable — and the bit-identity *oracle* the kernel is tested
+    against.  ``visited`` is a stamp-versioned scratch array: the caller
+    owns it and must never reuse a stamp value already written.
     """
     flat_activations: List[int] = []
     extend = flat_activations.extend
@@ -576,6 +582,73 @@ def cascade_block(
                     break
         extend(queue)
     return flat_activations, stamp
+
+
+class CascadeScratch:
+    """One process's cascade buffers and stamp stream for one graph size.
+
+    The serial engine holds one and each pool worker one per sampler, so
+    both cascade blocks through :meth:`count`.  With a ``kernel`` the
+    buffers are the native entries' int64 ``visited`` and ``coupons`` and
+    int32 ``queue`` (never shorter than ``num_nodes``: one world fits);
+    without one they are lists, which the interpreted loop indexes faster.
+    ``coupons`` is all zeros between calls, and each world takes the next
+    ``stamp`` of ``visited``, reserved before its cascade runs.
+    """
+
+    __slots__ = ("kernel", "visited", "coupons", "queue", "stamp")
+
+    def __init__(self, num_nodes: int, kernel) -> None:
+        self.kernel = kernel
+        if kernel is not None:
+            self.visited = np.zeros(num_nodes, dtype=np.int64)
+            self.coupons = np.zeros(num_nodes, dtype=np.int64)
+            self.queue = np.empty(num_nodes, dtype=np.int32)
+        else:
+            self.visited = [0] * num_nodes
+            self.coupons = [0] * num_nodes
+            self.queue = None
+        self.stamp = 0
+
+    def reserve(self, worlds: int) -> int:
+        """Reserve ``worlds`` stamps; returns the one before them."""
+        stamp = self.stamp
+        self.stamp = stamp + worlds
+        return stamp
+
+    def count(
+        self, blocks: Iterable[FlatWorldBlock], seed_indices: List[int],
+        coupon_items: Sequence[Tuple[int, int]], counts: np.ndarray,
+    ) -> None:
+        """Add every world's activations over ``blocks`` into ``counts``.
+
+        The sparse ``(position, coupons)`` items are set for the call and
+        reset after it, also when a cascade raises.
+        """
+        kernel, coupons, visited = self.kernel, self.coupons, self.visited
+        for position, coupon_count in coupon_items:
+            coupons[position] = coupon_count
+        try:
+            if kernel is not None:
+                seeds = np.asarray(seed_indices, dtype=np.int32)
+            for block in blocks:
+                stamp = self.reserve(block.count)
+                if kernel is None:
+                    activations, _ = cascade_block(
+                        block, seed_indices, coupons, visited, stamp
+                    )
+                    counts += np.bincount(
+                        np.asarray(activations, dtype=np.int64),
+                        minlength=counts.shape[0],
+                    )
+                else:
+                    kernel.cascade_block(
+                        block.targets, block.offsets, seeds, coupons, visited,
+                        stamp, self.queue, counts,
+                    )
+        finally:
+            for position, _ in coupon_items:
+                coupons[position] = 0
 
 
 class CompiledCascadeEngine:
@@ -771,28 +844,15 @@ class CompiledCascadeEngine:
         self._store_finalizer = weakref.finalize(self, store.sweep, self.bounds)
 
     def _reset_scratch(self) -> None:
-        """(Re)allocate the cascade scratch and output buffers for the graph."""
+        """(Re)build the cascade scratch and instrumented outputs for the graph."""
         num_nodes = self.compiled.num_nodes
+        self._scratch = CascadeScratch(num_nodes, self._kernel)
         if self._kernel is not None:
-            self._kernel_visited = np.zeros(num_nodes, dtype=np.int64)
-            self._kernel_stamp = 0
-            self._kernel_coupons = np.zeros(num_nodes, dtype=np.int64)
-            # Instrumented output: queues and limited lists back to back,
-            # plus per-world end offsets.  ``_kernel_queue`` doubles as the
-            # block kernel's FIFO scratch, so it never holds fewer than
-            # ``num_nodes`` entries — enough for any one world.
-            self._kernel_queue = np.empty(num_nodes, dtype=np.int32)
+            # Instrumented output: the limited lists back to back (the
+            # queues go to the scratch's ``queue``, of the same capacity),
+            # plus per-world end offsets.
             self._kernel_limited = np.empty(num_nodes, dtype=np.int32)
             self._kernel_ends = np.empty((self.shard_size, 2), dtype=np.int64)
-
-        # Stamp-versioned visited array shared across interpreted cascades:
-        # bumping the stamp resets it in O(1) instead of reallocating per
-        # world.  (The kernel path has its own numpy-typed buffers above;
-        # the two stamp streams never touch each other's arrays.)
-        self._visited: List[int] = [0] * num_nodes
-        self._stamp = 0
-        # Dense coupon buffer reused across evaluations (reset after each).
-        self._coupons: List[int] = [0] * num_nodes
 
     # ------------------------------------------------------------------
     # world access
@@ -841,41 +901,6 @@ class CompiledCascadeEngine:
     # low-level cascade
     # ------------------------------------------------------------------
 
-    def cascade_world(
-        self, world_index: int, seed_indices: List[int], coupons: List[int]
-    ) -> List[int]:
-        """Deterministic cascade in one world; returns activated node indices.
-
-        ``seed_indices`` must be deduplicated compiled indices in caller
-        order; ``coupons`` is a dense per-node coupon vector.  The returned
-        list is in activation (FIFO) order, seeds first.
-        """
-        return self.cascade_world_instrumented(world_index, seed_indices, coupons)[0]
-
-    def cascade_world_instrumented(
-        self, world_index: int, seed_indices: List[int], coupons: List[int]
-    ) -> Tuple[List[int], List[int]]:
-        """Cascade in one world, also reporting coupon-limited holders.
-
-        Returns ``(queue, limited)`` where ``queue`` is exactly what
-        :meth:`cascade_world` returns and ``limited`` lists (in dequeue
-        order) every activated node whose coupon supply was — conservatively
-        — the binding constraint of its hand-out walk: either it was dequeued
-        with no coupons while holding live out-edges, or its walk broke on
-        coupon exhaustion before reaching the end of its live edge list.
-        Giving any such node one more coupon is the *only* way a single-node
-        coupon increment can change this world's outcome, which is what the
-        delta-evaluation engine (:mod:`repro.diffusion.delta`) keys on.
-
-        Runs on the native kernel when one is active (identical queues and
-        limited lists, only faster); callers with several worlds to
-        re-simulate should prefer :meth:`cascade_worlds_instrumented`, which
-        cascades them in one kernel call per block.
-        """
-        return next(
-            self.cascade_worlds_instrumented((world_index,), seed_indices, coupons)
-        )
-
     def cascade_worlds_instrumented(
         self,
         world_indices: Iterable[int],
@@ -884,15 +909,27 @@ class CompiledCascadeEngine:
     ) -> Iterator[Tuple[List[int], List[int]]]:
         """Instrumented cascades over several worlds of one deployment.
 
-        Yields ``(queue, limited)`` per world of ``world_indices`` (any order,
-        repeats allowed), exactly as per-world
-        :meth:`cascade_world_instrumented` calls would.  This is the entry
-        point the delta engine's snapshot, splice and reconcile passes run
-        on.  The indices are split into order-preserving runs that share a
-        block.  On the kernel path each run is one kernel call writing every
-        world's output back to back into the engine's buffers; a call that
-        stops early (the buffers were too small) is drained, the buffers
-        double, and the rest of the run goes in the next call.
+        ``seed_indices`` are deduplicated compiled indices, the queue's
+        starting order; ``coupons`` is a dense per-node coupon vector.
+        Yields ``(queue, limited)`` per world of ``world_indices`` (any
+        order, repeats allowed): ``queue`` is the world's activated nodes in
+        activation (FIFO) order, seeds first, and ``limited`` lists (in
+        dequeue order) every activated node whose coupon supply was —
+        conservatively — the binding constraint of its hand-out walk: either
+        it was dequeued with no coupons while holding live out-edges, or its
+        walk broke on coupon exhaustion before reaching the end of its live
+        edge list.  Giving any such node one more coupon is the *only* way a
+        single-node coupon increment can change this world's outcome, which
+        is what the delta-evaluation engine (:mod:`repro.diffusion.delta`)
+        keys on.
+
+        The delta engine's snapshot, splice and reconcile passes run here,
+        on the engine's :class:`CascadeScratch`.  The indices are split into
+        order-preserving runs that share a block.  On the kernel path each
+        run is one kernel call writing every world's output back to back
+        into the engine's buffers; a call that stops early (the buffers were
+        too small) is drained, the buffers double, and the rest of the run
+        goes in the next call.
         """
         worlds = np.fromiter(world_indices, dtype=np.int64)
         if not worlds.size:
@@ -903,26 +940,26 @@ class CompiledCascadeEngine:
                 f"world indices must lie in [0, {self.num_worlds}), got "
                 f"{low}..{high}"
             )
+        scratch = self._scratch
+        stamp = scratch.reserve(worlds.size)
         if self._kernel is None:
             for block, slots in self._block_runs(worlds, low, high):
                 for slot in slots.tolist():
+                    stamp += 1
                     yield self._interpreted_world_instrumented(
-                        block, slot, seed_indices, coupons
+                        block, slot, seed_indices, coupons, stamp
                     )
             return
         seeds_arr = np.asarray(seed_indices, dtype=np.int32)
         coupons_arr = np.asarray(coupons, dtype=np.int64)
         kernel = self._kernel
-        stamp = self._kernel_stamp
-        # Reserve the whole stamp range up front, as the run path does.
-        self._kernel_stamp = stamp + worlds.size
         for block, slots in self._block_runs(worlds, low, high):
             if self._kernel_ends.shape[0] < slots.size:
                 self._kernel_ends = np.empty((slots.size, 2), dtype=np.int64)
             while True:
                 finished = kernel.cascade_world_instrumented(
                     block.targets, block.offsets, slots, seeds_arr, coupons_arr,
-                    self._kernel_visited, stamp, self._kernel_queue,
+                    scratch.visited, stamp, scratch.queue,
                     self._kernel_limited, self._kernel_ends,
                 )
                 stamp += finished
@@ -930,7 +967,7 @@ class CompiledCascadeEngine:
                 # Copy the finished worlds out before yielding: the buffers
                 # are reused by the next call.
                 bounds = self._kernel_ends[:finished].tolist()
-                queues = self._kernel_queue[: bounds[-1][0]].tolist()
+                queues = scratch.queue[: bounds[-1][0]].tolist()
                 limited = self._kernel_limited[: bounds[-1][1]].tolist()
                 queue_start = limited_start = 0
                 for queue_end, limited_end in bounds:
@@ -942,8 +979,8 @@ class CompiledCascadeEngine:
                 if finished == slots.size:
                     break
                 slots = slots[finished:]
-                capacity = 2 * self._kernel_queue.shape[0]
-                self._kernel_queue = np.empty(capacity, dtype=np.int32)
+                capacity = 2 * scratch.queue.shape[0]
+                scratch.queue = np.empty(capacity, dtype=np.int32)
                 self._kernel_limited = np.empty(capacity, dtype=np.int32)
 
     def _block_runs(
@@ -971,11 +1008,13 @@ class CompiledCascadeEngine:
         slot: int,
         seed_indices: List[int],
         coupons: Sequence[int],
+        stamp: int,
     ) -> Tuple[List[int], List[int]]:
-        """One world's instrumented cascade on the interpreted oracle loop."""
-        self._stamp += 1
-        stamp = self._stamp
-        visited = self._visited
+        """One world's instrumented cascade on the interpreted oracle loop.
+
+        ``stamp`` is the world's reserved stamp of the scratch's ``visited``.
+        """
+        visited = self._scratch.visited
         targets, offsets_rows = block.lists()
         offsets = offsets_rows[slot]
 
@@ -1035,7 +1074,8 @@ class CompiledCascadeEngine:
         the queue order is seed-order dependent, and every consumer — the
         estimator's order-insensitive memoisation, the delta engine's
         snapshot matching — treats deployments with equal seed sets as equal.
-        Use :meth:`cascade_world` directly for explicit-order experiments.
+        Use :meth:`cascade_worlds_instrumented` for cascades in an explicit
+        seed order.
         """
         return self.submit(seeds, allocation).result()
 
@@ -1077,70 +1117,12 @@ class CompiledCascadeEngine:
         if self.workers > 1:
             pending = self._ensure_executor().submit(seed_indices, coupon_items)
             return PendingRun(self, pending=pending)
-        counts = self._run_serial(seed_indices, coupon_items)
+        counts = np.zeros(num_nodes, dtype=np.int64)
+        self._scratch.count(
+            (block for _, _, block in self.world_blocks()),
+            seed_indices, coupon_items, counts,
+        )
         return PendingRun(self, result=(counts, self.benefit_of(counts)))
-
-    def _run_serial(
-        self, seed_indices: List[int], coupon_items: List[Tuple[int, int]]
-    ) -> np.ndarray:
-        """Shard-by-shard in-process evaluation; returns activation counts."""
-        if self._kernel is not None:
-            return self._run_serial_kernel(seed_indices, coupon_items)
-        coupons = self._coupons
-        for position, count in coupon_items:
-            coupons[position] = count
-
-        visited = self._visited
-        stamp = self._stamp
-        # Reserve the whole stamp range up front: if the loop is interrupted
-        # (e.g. KeyboardInterrupt), a later run() must not reuse stamp values
-        # already written into `visited`, or it would see phantom activations.
-        self._stamp = stamp + self.num_worlds
-        counts = np.zeros(self.compiled.num_nodes, dtype=np.int64)
-        try:
-            for _, _, block in self.world_blocks():
-                flat_activations, stamp = cascade_block(
-                    block, seed_indices, coupons, visited, stamp,
-                )
-                counts += np.bincount(
-                    np.asarray(flat_activations, dtype=np.int64),
-                    minlength=counts.shape[0],
-                )
-        finally:
-            # Always restore the coupon buffer, even on interruption.
-            for position, _ in coupon_items:
-                coupons[position] = 0
-        return counts
-
-    def _run_serial_kernel(
-        self, seed_indices: List[int], coupon_items: List[Tuple[int, int]]
-    ) -> np.ndarray:
-        """Kernel-dispatched serial evaluation, bit-identical to interpreted.
-
-        The kernel accumulates each world's activation queue straight into
-        the integer count vector — the same integers the interpreted path
-        derives via ``np.bincount`` over the flat activation list.
-        """
-        coupons = self._kernel_coupons
-        for position, count in coupon_items:
-            coupons[position] = count
-        seeds_arr = np.asarray(seed_indices, dtype=np.int32)
-
-        stamp = self._kernel_stamp
-        # Reserve the stamp range up front, mirroring the interpreted path.
-        self._kernel_stamp = stamp + self.num_worlds
-        counts = np.zeros(self.compiled.num_nodes, dtype=np.int64)
-        kernel = self._kernel
-        try:
-            for _, _, block in self.world_blocks():
-                stamp = kernel.cascade_block(
-                    block.targets, block.offsets, seeds_arr, coupons,
-                    self._kernel_visited, stamp, self._kernel_queue, counts,
-                )
-        finally:
-            for position, _ in coupon_items:
-                coupons[position] = 0
-        return counts
 
     def _ensure_executor(self):
         if self._executor is None:

@@ -145,7 +145,7 @@ _C_SOURCE = r"""
 
 /* The two cascade functions are line-for-line translations of the interpreted
  * cascade loops in repro/diffusion/engine.py (cascade_block and
- * CompiledCascadeEngine.cascade_world_instrumented).  Any semantic change
+ * CompiledCascadeEngine._interpreted_world_instrumented).  Any semantic change
  * there must be mirrored here — the parity suite fails otherwise. */
 
 int64_t repro_cascade_block(
@@ -665,7 +665,7 @@ class CascadeKernel:
         coupon-limited list into ``queue`` / ``limited`` where world
         ``i - 1``'s ended, up to ``ends[i]`` — exactly, and in the same
         order, what the interpreted
-        :meth:`~repro.diffusion.engine.CompiledCascadeEngine.cascade_world_instrumented`
+        :meth:`~repro.diffusion.engine.CompiledCascadeEngine.cascade_worlds_instrumented`
         produces.  Stops before a world that might not fit and returns how
         many worlds it finished.  ``slots`` must index rows of ``offsets``.
         """

@@ -29,11 +29,13 @@ of integer activation counts.  Two classes exploit that:
 
 Determinism
 -----------
-The per-block counts are integers and the running reduction folds them in
-block order whatever order they complete in, so the final count vector — and
-the benefit the engine derives from it (``benefit_of``) —
-is bit-identical to the serial path for any shard size, worker count,
-completion order and pipelining depth.
+A worker cascades each block through its own
+:class:`~repro.diffusion.engine.CascadeScratch` — the code the serial engine
+runs, not a copy of it.  The per-block counts are integers and the running
+reduction folds them in block order whatever order they complete in, so the
+final count vector — and the benefit the engine derives from it
+(``benefit_of``) — is bit-identical to the serial path for any shard size,
+worker count, completion order and pipelining depth.
 
 Ownership
 ---------
@@ -67,7 +69,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.diffusion import kernels as _kernels
-from repro.diffusion.engine import BlockCache, WorldSampler, cascade_block
+from repro.diffusion.engine import BlockCache, CascadeScratch, WorldSampler
 from repro.exceptions import EstimationError
 
 #: Blocks each worker keeps materialised between tasks (per registered sampler).
@@ -132,39 +134,16 @@ def shutdown_live_pools() -> int:
 
 
 class _WorkerState:
-    """Everything one worker process needs to evaluate one sampler's blocks."""
+    """Everything one worker process needs to evaluate one sampler's blocks.
+
+    The cascade scratch is built on the first task, following its kernel
+    flag, so workers of a no-kernel engine never resolve a backend.
+    """
 
     def __init__(self, sampler: WorldSampler) -> None:
-        num_nodes = sampler.compiled.num_nodes
         self.sampler = sampler
-        self.visited: List[int] = [0] * num_nodes
-        self.coupons: List[int] = [0] * num_nodes
-        self.stamp = 0
         self.cache = BlockCache(sampler, _WORKER_CACHE_BLOCKS)
-        # Native-kernel resources, resolved lazily on the first kernel-tagged
-        # task so workers of a no-kernel engine never pay backend resolution.
-        # The kernel path keeps its own numpy-typed buffers and stamp stream;
-        # the two streams never touch each other's arrays.
-        self._kernel_resolved = False
-        self.kernel = None
-        self.kernel_visited: Optional[np.ndarray] = None
-        self.kernel_queue: Optional[np.ndarray] = None
-        self.kernel_coupons: Optional[np.ndarray] = None
-        self.kernel_stamp = 0
-
-    def kernel_or_none(self):
-        """The worker's native kernel, resolving (and warming) it on first use."""
-        if not self._kernel_resolved:
-            self._kernel_resolved = True
-            kernel = _kernels.load_kernel()
-            if kernel is not None:
-                kernel.warm()
-                num_nodes = self.sampler.compiled.num_nodes
-                self.kernel = kernel
-                self.kernel_visited = np.zeros(num_nodes, dtype=np.int64)
-                self.kernel_queue = np.empty(num_nodes, dtype=np.int32)
-                self.kernel_coupons = np.zeros(num_nodes, dtype=np.int64)
-        return self.kernel
+        self.scratch: Optional[CascadeScratch] = None
 
 
 def _init_worker(barrier) -> None:
@@ -201,53 +180,24 @@ def evaluate_block_in_state(
 
     Returns ``(block_index, activation_counts)``.  This is the single
     evaluation routine shared by the real pool workers and the in-process
-    fake pools the property tests inject, so the two paths cannot drift.
-    Tasks tagged ``use_kernel`` run the block on the worker's native cascade
-    kernel; a worker that cannot resolve a backend falls back to the
-    interpreted loop — the per-block counts are bit-identical either way.
+    fake pools the property tests inject, and it cascades the block through
+    the worker's :class:`~repro.diffusion.engine.CascadeScratch`, the same
+    code the serial engine runs, so the paths cannot drift.  The scratch
+    follows the first task's ``use_kernel`` flag: such a task warms the
+    worker's native kernel, and a worker that cannot resolve a backend
+    falls back to the interpreted loop — the per-block counts are
+    bit-identical either way.
     """
     _, block_index, start, count, seed_indices, coupon_items, use_kernel = task
     block = state.cache.block(start, count)
     num_nodes = state.sampler.compiled.num_nodes
-    kernel = state.kernel_or_none() if use_kernel else None
-    if kernel is not None:
-        coupons_arr = state.kernel_coupons
-        for position, coupon_count in coupon_items:
-            coupons_arr[position] = coupon_count
-        # Reserve the block's stamp range up front (mirroring the serial
-        # engine): if the kernel raises mid-block, the stamps it already
-        # wrote into `visited` must never be reused by a later task.
-        stamp = state.kernel_stamp
-        state.kernel_stamp = stamp + count
-        counts = np.zeros(num_nodes, dtype=np.int64)
-        try:
-            kernel.cascade_block(
-                block.targets, block.offsets,
-                np.asarray(seed_indices, dtype=np.int32), coupons_arr,
-                state.kernel_visited, stamp, state.kernel_queue, counts,
-            )
-        finally:
-            for position, _ in coupon_items:
-                coupons_arr[position] = 0
-        return block_index, counts
-    coupons = state.coupons
-    for position, coupon_count in coupon_items:
-        coupons[position] = coupon_count
-    # Same up-front stamp-range reservation as above for the interpreted
-    # stamp stream.
-    stamp = state.stamp
-    state.stamp = stamp + count
-    try:
-        flat_activations, _ = cascade_block(
-            block, seed_indices, coupons, state.visited, stamp,
-        )
-    finally:
-        for position, _ in coupon_items:
-            coupons[position] = 0
-    counts = np.bincount(
-        np.asarray(flat_activations, dtype=np.int64),
-        minlength=num_nodes,
-    )
+    if state.scratch is None:
+        kernel = _kernels.load_kernel() if use_kernel else None
+        if kernel is not None:
+            kernel.warm()
+        state.scratch = CascadeScratch(num_nodes, kernel)
+    counts = np.zeros(num_nodes, dtype=np.int64)
+    state.scratch.count((block,), seed_indices, coupon_items, counts)
     return block_index, counts
 
 

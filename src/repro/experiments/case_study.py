@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.economics.adoption import AdoptionModel
 from repro.economics.scenario import Scenario, ScenarioBuilder
+from repro.exceptions import ExperimentError
 from repro.experiments.config import AlgorithmSpec, ExperimentConfig
 from repro.experiments.datasets import dataset_graph
 from repro.experiments.runner import ExperimentRunner, RunRecord, shared_pool_for
@@ -97,6 +98,11 @@ def run_case_study(
     created here for the duration of the study.
     """
     config = config or ExperimentConfig()
+    for gross_margin in gross_margins:
+        if not 0.0 <= gross_margin < 1.0:
+            raise ExperimentError(
+                f"gross_margin must be in [0, 1), got {gross_margin!r}"
+            )
     results: Dict[float, List[RunRecord]] = {}
     pool = shared_pool_for(config)
     try:

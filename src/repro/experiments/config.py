@@ -67,6 +67,8 @@ class ExperimentConfig:
             )
         if self.scale <= 0:
             raise ExperimentError(f"scale must be > 0, got {self.scale}")
+        if self.budget is not None and not self.budget > 0:
+            raise ExperimentError(f"budget must be > 0, got {self.budget}")
         if self.num_samples <= 0:
             raise ExperimentError(f"num_samples must be > 0, got {self.num_samples}")
         if self.lam <= 0 or self.kappa <= 0:
@@ -89,10 +91,17 @@ class ServerConfig:
 
     The server keeps compiled graphs, RNG-frozen samplers, warmed kernels and
     one shared worker pool resident across requests; these knobs size that
-    resident state.  Every field has an environment override
-    (``REPRO_SERVER_*``, parsed through :mod:`repro.utils.env` so boolean
-    spellings like ``0``/``false`` behave as off) and a CLI flag on
-    ``repro serve``.
+    resident state.  :meth:`from_env` reads a ``REPRO_SERVER_*`` environment
+    variable (parsed through :mod:`repro.utils.env`, so boolean spellings
+    like ``0``/``false`` behave as off) for ``host``, ``port``,
+    ``job_workers``, ``max_queued_jobs``, ``num_samples``, ``seed``,
+    ``graph_cache_dir`` and the estimator's ``workers``, ``shard_size``,
+    ``use_kernel`` and ``shared_memory``.  ``repro serve`` has a flag for
+    ``host``, ``port``, ``workers``, ``job_workers``, ``max_queued_jobs``,
+    ``num_samples`` and ``graph_cache_dir`` only; ``seed``, ``shard_size``,
+    ``use_kernel`` and ``shared_memory`` are set by their variable alone.
+    No flag or variable sets ``estimator.incremental`` or the tier fields
+    (a tiered solve request may name its own band).
     """
 
     #: Bind address / port of the HTTP server.

@@ -238,6 +238,8 @@ def toy_scenario(budget: float = 12.0) -> Scenario:
 
 def table2_rows(scale: float = 1.0, seed: int = 2019) -> list:
     """Rows of the Table II stand-in: per dataset, paper vs generated sizes."""
+    if not scale > 0:
+        raise ExperimentError(f"scale must be > 0, got {scale}")
     rows = []
     for name, spec in DATASET_SPECS.items():
         graph = dataset_graph(name, scale=scale, seed=seed)

@@ -117,10 +117,11 @@ def _sweep(
     instead of paying a process-pool start-up per condition.
     """
     results: Dict[str, Series] = {metric: {} for metric in metrics}
+    # Build (and so validate) every swept condition before the first solve.
+    conditions = [(value, config.replace(**{parameter: value})) for value in values]
     pool = shared_pool_for(config)
     try:
-        for value in values:
-            swept = config.replace(**{parameter: value})
+        for value, swept in conditions:
             scenario = build_scenario(
                 swept.dataset,
                 scale=swept.scale,

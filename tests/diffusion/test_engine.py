@@ -95,7 +95,9 @@ def test_per_world_cascades_match_dict_worlds_exactly():
         expected = cascade_in_world(graph, world, seeds, allocation)
         actual = {
             compiled.node_of(i)
-            for i in engine.cascade_world(world_index, seed_indices, coupons)
+            for i in next(engine.cascade_worlds_instrumented(
+                (world_index,), seed_indices, coupons
+            ))[0]
         }
         assert actual == expected
 

@@ -109,7 +109,9 @@ def test_kernel_run_and_instrumented_match_oracle(shard_size, data, seed, worlds
 
     def oracle(world_indices):
         return [
-            oracle_engine.cascade_world_instrumented(world_index, seed_indices, dense)
+            next(oracle_engine.cascade_worlds_instrumented(
+                (world_index,), seed_indices, dense
+            ))
             for world_index in world_indices
         ]
 
@@ -118,7 +120,7 @@ def test_kernel_run_and_instrumented_match_oracle(shard_size, data, seed, worlds
     # pass below outgrows them whenever a run spans more than num_nodes
     # worlds: its kernel call stops early, the engine grows the buffers and
     # a second call resumes the run.
-    capacity = kernel_engine._kernel_queue.shape[0]
+    capacity = kernel_engine._scratch.queue.shape[0]
     assert capacity == compiled.num_nodes
     # Every world in order, then a drawn index list (any order, repeats,
     # across shards) and no world at all.
@@ -128,13 +130,7 @@ def test_kernel_run_and_instrumented_match_oracle(shard_size, data, seed, worlds
         )
         assert list(batched) == oracle(world_indices)
         if shard_size > compiled.num_nodes:
-            assert kernel_engine._kernel_queue.shape[0] > capacity
-    # The single-world entry point is a batch of one.
-    for world_index, expected in enumerate(oracle(range(NUM_SAMPLES))):
-        single = kernel_engine.cascade_world_instrumented(
-            world_index, seed_indices, dense
-        )
-        assert single == expected
+            assert kernel_engine._scratch.queue.shape[0] > capacity
 
 
 @requires_native

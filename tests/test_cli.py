@@ -167,6 +167,57 @@ def test_events_command_rejects_a_malformed_entry(entry, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_SMALL = ["--scale", "0.05", "--samples", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["solve", *_SMALL, "--budget", "-5"], "budget must be > 0, got -5.0"),
+        (["solve", *_SMALL, "--budget", "0"], "budget must be > 0, got 0.0"),
+        (["compare", *_SMALL, "--budget", "-5"], "budget must be > 0, got -5.0"),
+        (["events", *_SMALL, "--budget", "-5"], "budget must be > 0, got -5.0"),
+        (["sweep-budget", *_SMALL, "--budgets", "60", "-3"],
+         "budget must be > 0, got -3.0"),
+        (["case-study", *_SMALL, "--margins", "0.3", "1.5"],
+         "gross_margin must be in [0, 1), got 1.5"),
+        (["case-study", *_SMALL, "--margins", "-0.5"],
+         "gross_margin must be in [0, 1), got -0.5"),
+        (["solve", *_SMALL, "--graph", "missing.txt"],
+         "graph file not readable: "),
+        (["datasets", "--scale", "-1"], "scale must be > 0, got -1.0"),
+        (["datasets", "--scale", "0"], "scale must be > 0, got 0.0"),
+    ],
+    ids=["solve-budget-negative", "solve-budget-zero", "compare-budget",
+         "events-budget", "sweep-budgets", "margin-above-one",
+         "margin-negative", "graph-missing", "datasets-scale-negative",
+         "datasets-scale-zero"],
+)
+def test_bad_numbers_exit_2_before_any_solve(
+    argv, named, monkeypatch, tmp_path, capsys
+):
+    """A bad number or a missing graph file is an ``error:`` line and exit 2."""
+    from repro.core.s3ca import S3CA
+    from repro.experiments.runner import ExperimentRunner
+
+    def solved(*args, **kwargs):
+        raise AssertionError("a solve ran before the bad input was rejected")
+
+    monkeypatch.setattr(S3CA, "solve", solved)
+    monkeypatch.setattr(ExperimentRunner, "run_all", solved)
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "events":
+        (tmp_path / "events.json").write_text(json.dumps(
+            [{"type": "edge_add", "source": "0", "target": "7", "probability": 0.5}]
+        ))
+        argv = [*argv, "--events-file", "events.json"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
+    assert "Traceback" not in err
+
+
 # ----------------------------------------------------------------------
 # interrupt / broken-pipe exit paths
 # ----------------------------------------------------------------------
