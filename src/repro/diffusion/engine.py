@@ -598,7 +598,9 @@ class CascadeScratch:
 
     __slots__ = ("kernel", "visited", "coupons", "queue", "stamp")
 
-    def __init__(self, num_nodes: int, kernel) -> None:
+    def __init__(
+        self, num_nodes: int, kernel: Optional[_kernels.CascadeKernel]
+    ) -> None:
         self.kernel = kernel
         if kernel is not None:
             self.visited = np.zeros(num_nodes, dtype=np.int64)
@@ -947,7 +949,7 @@ class CompiledCascadeEngine:
                 for slot in slots.tolist():
                     stamp += 1
                     yield self._interpreted_world_instrumented(
-                        block, slot, seed_indices, coupons, stamp
+                        block, slot, seed_indices, coupons, scratch.visited, stamp
                     )
             return
         seeds_arr = np.asarray(seed_indices, dtype=np.int32)
@@ -1008,13 +1010,14 @@ class CompiledCascadeEngine:
         slot: int,
         seed_indices: List[int],
         coupons: Sequence[int],
+        visited: List[int],
         stamp: int,
     ) -> Tuple[List[int], List[int]]:
         """One world's instrumented cascade on the interpreted oracle loop.
 
-        ``stamp`` is the world's reserved stamp of the scratch's ``visited``.
+        ``stamp`` is the world's stamp, reserved from the scratch that owns
+        ``visited``.
         """
-        visited = self._scratch.visited
         targets, offsets_rows = block.lists()
         offsets = offsets_rows[slot]
 

@@ -67,7 +67,9 @@ class ExactEstimator(BenefitEstimator):
     def expected_benefit(
         self, seeds: Iterable[NodeId], allocation: Mapping[NodeId, int]
     ) -> float:
-        seeds = list(seeds)
+        # The cascade is seed-order dependent and the memo is keyed by the
+        # seed set, so cascade in the compiled engine's canonical order.
+        seeds = sorted(seeds, key=str)
         key = self._key(seeds, allocation)
         cached = self._benefit_cache.get(key)
         if cached is not None:
@@ -82,7 +84,7 @@ class ExactEstimator(BenefitEstimator):
     def activation_probabilities(
         self, seeds: Iterable[NodeId], allocation: Mapping[NodeId, int]
     ) -> Dict[NodeId, float]:
-        seeds = list(seeds)
+        seeds = sorted(seeds, key=str)
         probabilities: Dict[NodeId, float] = {}
         for world, weight in self._worlds:
             for node in cascade_in_world(self.graph, world, seeds, allocation):

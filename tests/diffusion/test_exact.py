@@ -3,6 +3,7 @@
 import pytest
 
 from repro.diffusion.exact import ExactEstimator
+from repro.diffusion.monte_carlo import MonteCarloEstimator
 from repro.exceptions import EstimationError
 from repro.graph.generators import erdos_renyi_graph, path_graph, star_graph
 from repro.graph.social_graph import SocialGraph
@@ -73,6 +74,32 @@ def test_caching_gives_identical_values():
     first = estimator.expected_benefit([0], {0: 2})
     second = estimator.expected_benefit([0], {0: 2})
     assert first == second
+
+
+def test_seed_order_does_not_change_the_benefit():
+    """Seeds cascade in the compiled engine's canonical order, whatever the caller's.
+
+    Seeds 0 and 1 hold one coupon each and share the sure neighbour 3; the
+    seed dequeued second skips 3, so only seed 1 dequeued after seed 0 can
+    pass its coupon on to node 2, the one node with a benefit.
+    """
+    graph = SocialGraph()
+    graph.add_edge(0, 3, 1.0)
+    graph.add_edge(1, 3, 1.0)
+    graph.add_edge(1, 2, 0.5)
+    for node in range(4):
+        graph.add_node(node, benefit=float(node == 2), sc_cost=1.0, seed_cost=1.0)
+    allocation = {0: 1, 1: 1}
+    for seeds in ([0, 1], [1, 0]):
+        estimator = ExactEstimator(graph)
+        assert estimator.expected_benefit(seeds, allocation) == pytest.approx(0.5)
+        assert estimator.activation_probabilities(seeds, allocation)[2] == (
+            pytest.approx(0.5)
+        )
+    monte_carlo = MonteCarloEstimator(graph, num_samples=2000, seed=1)
+    assert monte_carlo.expected_benefit([1, 0], allocation) == pytest.approx(
+        0.5, abs=0.05
+    )
 
 
 def test_no_seeds_no_benefit():
